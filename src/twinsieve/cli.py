@@ -1,12 +1,16 @@
 """Command-line frontend emitting machine-readable envelopes.
 
 Every run prints one envelope: {command, parameters, results, engine_version}.
-Integers are rendered as decimal strings (primorials overflow doubles
-immediately), exact rationals as "num/den" strings, floats as shortest
-round-trip decimals.  CSV emission carries the same values, one row per list
-element, header mandatory.  Identical argv produces byte-identical output,
-except for bench whose payload is wall-clock timing by design; verify prints
-its throughput to stderr to keep the envelope deterministic.
+Each handler builds its results dict from the library's report record, and
+--emit csv renders the same dict through the same encoder: a scalar report
+is one row under the results keys, a list payload one row per element, header
+mandatory.  Integers of any size are decimal strings (primorials overflow
+doubles immediately), exact rationals "num/den" strings, floats shortest
+round-trip decimals; a CSV cell space-joins a list and leaves None empty.
+Identical argv produces byte-identical output, except for bench whose payload
+is wall-clock timing by design; verify prints its throughput to stderr to
+keep the envelope deterministic.  Domain, capacity and memory errors, an
+invalid cache file included, exit 1 with one line on stderr.
 """
 
 from __future__ import annotations
@@ -15,12 +19,14 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
+from .arith import primorial_from_5
 from .counting import (
     asymptote_coefficient,
     counts_row,
@@ -32,7 +38,7 @@ from .counting import (
 from .classify import classify, nonranks_of
 from .errors import CapacityError, DomainError
 from .oracle import DEFAULT_CEILING, pi2_exact, twin_ranks_up_to, verify_classify
-from .progressions import crt_family, nested_form, remnants_below, residue_set
+from .progressions import crt_family, nested_form, remnants_below, residue_set, residue_set_size
 
 
 def _encode(obj):
@@ -43,29 +49,32 @@ def _encode(obj):
         return str(obj)
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, float):
-        return obj
     if isinstance(obj, (list, tuple)):
         return [_encode(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _encode(v) for k, v in obj.items()}
-    if is_dataclass(obj):
-        return _encode(asdict(obj))
-    if hasattr(obj, "tolist"):  # numpy array or scalar
-        return _encode(obj.tolist())
     return obj
 
 
 def _cell(v) -> str:
+    """The encoded value as one CSV cell: a list space-joined, None empty."""
+    v = _encode(v)
     if v is None:
         return ""
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (list, tuple)):
-        return " ".join(str(x) for x in v)
+    if isinstance(v, list):
+        return " ".join(map(str, v))
     return str(v)
+
+
+def _record(report) -> dict:
+    """A report's fields in declaration order, with p_j named level."""
+    return {"level" if f.name == "p_j" else f.name: getattr(report, f.name) for f in fields(report)}
+
+
+def _one_row(results: dict, *omit: str):
+    """Handler output for a scalar report: one CSV row under the results keys, less omit."""
+    header = [k for k in results if k not in omit]
+    return results, header, [[results[k] for k in header]]
 
 
 def _parse_primes(text: str) -> list[int]:
@@ -75,63 +84,66 @@ def _parse_primes(text: str) -> list[int]:
         raise DomainError(f"cannot parse prime list {text!r}") from None
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace path with text through a unique temp file beside it."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open() would give, not mkstemp's 0600
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _cache_path(cache_dir: str, level: int) -> Path:
     return Path(cache_dir) / f"constants-{level}.txt"
 
 
 def _load_cached_constants(cache_dir: str, level: int):
+    """(modulus, constants) from the cache, or None; DomainError unless the file holds exactly C_level."""
     path = _cache_path(cache_dir, level)
     if not path.is_file():
         return None
-    lines = path.read_text().splitlines()
-    head = lines[0].split()
-    if head[:1] != ["#"] or head[1] != f"level={level}":
-        raise DomainError(f"cache file {path} does not match level {level}")
-    modulus = int(head[2].removeprefix("modulus="))
-    return modulus, [int(v) for v in lines[1:] if v]
+    modulus, count = primorial_from_5(level), residue_set_size(level)
+    try:
+        head, *body = path.read_text().splitlines()
+        constants = [int(v) for v in body]
+    except ValueError:  # empty, a line that is not an integer, or not text at all
+        raise DomainError(f"cache file {path} is not a constants list") from None
+    in_range_ascending = all(a < b for a, b in zip([-1, *constants], [*constants, modulus]))
+    if head != f"# level={level} modulus={modulus}" or len(constants) != count or not in_range_ascending:
+        raise DomainError(f"cache file {path} does not hold the {count} level-{level} constants")
+    return modulus, constants
 
 
 def _store_cached_constants(cache_dir: str, level: int, modulus: int, constants) -> None:
     path = _cache_path(cache_dir, level)
     path.parent.mkdir(parents=True, exist_ok=True)
-    body = f"# level={level} modulus={modulus}\n" + "\n".join(str(c) for c in constants) + "\n"
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(body)
-    os.replace(tmp, path)
+    _write_atomic(path, f"# level={level} modulus={modulus}\n" + "\n".join(str(c) for c in constants) + "\n")
 
 
-# Each handler returns (results_dict, csv_header, csv_rows).
+# Each handler returns (results_dict, csv_header, csv_rows), the rows built
+# from the values in results.
 
 def _cmd_classify(args):
-    c = classify(args.m)
-    results = {
-        "m": c.m,
-        "verdict": c.verdict,
-        "parent": c.parent,
-        "composite_sides": list(c.composite_sides),
-        "witness_sign": c.witness_sign,
-        "witness_kappa": c.witness_kappa,
-    }
-    header = ["m", "verdict", "parent", "composite_sides", "witness_sign", "witness_kappa"]
-    row = [c.m, c.verdict, c.parent, c.composite_sides, c.witness_sign, c.witness_kappa]
-    return results, header, [row]
+    return _one_row(_record(classify(args.m)))
 
 
 def _cmd_twins(args):
     stream = twin_ranks_up_to(args.limit, ceiling=args.ceiling)
-    results = {"limit": stream.limit, "count": len(stream.ranks), "ranks": list(stream.ranks)}
-    return results, ["rank"], [[m] for m in stream.ranks]
+    results = {**_record(stream), "count": len(stream.ranks)}
+    return results, ["rank"], [[m] for m in results["ranks"]]
 
 
 def _cmd_nonranks(args):
-    terms = nonranks_of(args.prime, args.limit)
-    results = {
-        "prime": args.prime,
-        "limit": args.limit,
-        "count": len(terms),
-        "terms": [{"value": t.value, "n": t.n, "sign": t.sign} for t in terms],
-    }
-    return results, ["value", "n", "sign"], [[t.value, t.n, t.sign] for t in terms]
+    header = ["value", "n", "sign"]
+    terms = [{k: getattr(t, k) for k in header} for t in nonranks_of(args.prime, args.limit)]
+    results = {"prime": args.prime, "limit": args.limit, "count": len(terms), "terms": terms}
+    return results, header, [[t[k] for k in header] for t in terms]
 
 
 def _cmd_constants(args):
@@ -143,100 +155,58 @@ def _cmd_constants(args):
         modulus, constants = rs.modulus, rs.constants.tolist()
         if args.cache_dir:
             _store_cached_constants(args.cache_dir, args.level, modulus, constants)
-    results = {
-        "level": args.level,
-        "modulus": modulus,
-        "count": len(constants),
-        "constants": constants,
-    }
+    results = {"level": args.level, "modulus": modulus, "count": len(constants), "constants": constants}
     return results, ["constant"], [[c] for c in constants]
 
 
 def _cmd_remnants(args):
     rep = remnants_below(args.level, args.bound)
-    intruder_parent = dict(rep.intruders)
-    front = set(rep.front_twin_ranks)
     results = {
         "level": rep.p,
         "bound": rep.bound,
         "front_bound": rep.front_bound,
         "count": len(rep.remnants),
-        "remnants": list(rep.remnants),
-        "front_twin_ranks": list(rep.front_twin_ranks),
+        "remnants": rep.remnants,
+        "front_twin_ranks": rep.front_twin_ranks,
         "intruders": [{"value": v, "parent": q} for v, q in rep.intruders],
     }
+    front = set(results["front_twin_ranks"])
+    parent = {i["value"]: i["parent"] for i in results["intruders"]}
     rows = []
-    for v in rep.remnants:
-        kind = "front_twin_rank" if v in front else ("intruder" if v in intruder_parent else "twin_rank")
-        rows.append([v, kind, intruder_parent.get(v)])
+    for v in results["remnants"]:
+        kind = "front_twin_rank" if v in front else ("intruder" if v in parent else "twin_rank")
+        rows.append([v, kind, parent.get(v)])
     return results, ["value", "kind", "parent"], rows
 
 
 def _cmd_family(args):
-    primes = _parse_primes(args.primes)
-    fam = crt_family(primes, workers=args.workers)
+    fam = crt_family(_parse_primes(args.primes), workers=args.workers)
+    header = ["signs", "residue"]
+    if args.nested is not None:
+        if args.nested not in fam.primes:
+            raise DomainError(f"--nested {args.nested} is not one of the family primes")
+        header.append("nested")
     members = []
-    rows = []
     for fm in fam.members:
         entry = {"signs": "".join(fm.signs), "residue": fm.residue}
-        row = [entry["signs"], fm.residue]
         if args.nested is not None:
-            try:
-                outer_index = fam.primes.index(args.nested)
-            except ValueError:
-                raise DomainError(f"--nested {args.nested} is not one of the family primes") from None
-            nf = nested_form(fam.primes, fm.signs, fm.residue, outer_index)
-            entry["nested"] = str(nf)
-            row.append(str(nf))
+            entry["nested"] = str(nested_form(fam.primes, fm.signs, fm.residue, fam.primes.index(args.nested)))
         members.append(entry)
-        rows.append(row)
-    results = {
-        "primes": list(fam.primes),
-        "modulus": fam.modulus,
-        "members": members,
-    }
-    header = ["signs", "residue"] + (["nested"] if args.nested is not None else [])
-    return results, header, rows
+    results = {"primes": fam.primes, "modulus": fam.modulus, "members": members}
+    return results, header, [[m[k] for k in header] for m in members]
 
 
 def _cmd_counts(args):
-    row = counts_row(args.level)
-    results = {
-        "level": row.p_j,
-        "L": row.L,
-        "G": row.G,
-        "q": row.q,
-        "S": row.S,
-        "Q": row.Q,
-        "R": row.R,
-        "x_frac": row.x_frac,
-    }
-    header = ["level", "L", "G", "q", "S", "Q", "R", "x_frac"]
-    return results, header, [[row.p_j, row.L, row.G, row.q, row.S, row.Q, row.R, row.x_frac]]
+    return _one_row(_record(counts_row(args.level)))
 
 
 def _cmd_legendre(args):
-    rep = legendre_pi2(args.level, ceiling=args.ceiling, workers=args.workers)
-    results = {
-        "level": rep.p_j,
-        "p_next": rep.p_next,
-        "M": rep.M,
-        "x": rep.x,
-        "R0": rep.R0,
-        "ie_sum": rep.ie_sum,
-        "estimate": rep.estimate,
-        "oracle_pi2": rep.oracle_pi2,
-        "oracle_window": rep.oracle_window,
-        "residual_pi2": rep.residual_pi2,
-        "residual_window": rep.residual_window,
-    }
-    header = list(results)
-    return results, header, [[results[k] for k in header]]
+    return _one_row(_record(legendre_pi2(args.level, ceiling=args.ceiling, workers=args.workers)))
 
 
 def _cmd_mainterm(args):
     rep = main_term(args.level, workers=args.workers)
-    results = {
+    return _one_row({
         "level": rep.p_j,
         "x": rep.x,
         "R_M_sum": rep.R_M_sum,
@@ -246,21 +216,16 @@ def _cmd_mainterm(args):
         "form_gap": rep.R_M_product - rep.R_M_sum,
         "R_E": rep.R_E,
         "asymptote": rep.asymptote,
-    }
-    header = list(results)
-    return results, header, [[results[k] for k in header]]
+    })
 
 
 def _cmd_c2(args):
-    c2 = twin_prime_constant(args.tol)
-    results = {
+    return _one_row({
         "tolerance": args.tol,
-        "c2": c2,
+        "c2": twin_prime_constant(args.tol),
         "hardy_littlewood": hardy_littlewood_constant(args.tol),
         "asymptote_coefficient": asymptote_coefficient(args.tol),
-    }
-    header = list(results)
-    return results, header, [[results[k] for k in header]]
+    })
 
 
 def _cmd_verify(args):
@@ -269,15 +234,13 @@ def _cmd_verify(args):
         f"verify: {rep.limit} ranks in {rep.elapsed_s:.2f}s ({rep.ranks_per_s:.0f}/s)",
         file=sys.stderr,
     )
-    results = {
+    return _one_row({
         "limit": rep.limit,
         "mismatch_count": len(rep.mismatches),
-        "mismatches": [list(t) for t in rep.mismatches],
+        "mismatches": rep.mismatches,
         "twin_ranks": rep.twin_ranks,
         "non_ranks": rep.non_ranks,
-    }
-    header = ["limit", "mismatch_count", "twin_ranks", "non_ranks"]
-    return results, header, [[rep.limit, len(rep.mismatches), rep.twin_ranks, rep.non_ranks]]
+    }, "mismatches")
 
 
 def _cmd_bench(args):
@@ -289,16 +252,14 @@ def _cmd_bench(args):
     for m in range(1, sample + 1):
         classify(m)
     classify_s = time.perf_counter() - t0
-    results = {
+    return _one_row({
         "limit": args.limit,
         "pi2": pi2,
         "sieve_seconds": sieve_s,
         "classify_sample": sample,
         "classify_seconds": classify_s,
         "classify_per_second": sample / classify_s if classify_s > 0 else float("inf"),
-    }
-    header = list(results)
-    return results, header, [[results[k] for k in header]]
+    })
 
 
 _HANDLERS = {
@@ -372,37 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(envelope: dict) -> str:
-    return json.dumps(envelope, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
-
-
-def _emit_csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    tmp = f"{out_path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, out_path)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7, which has no digit limit
+        sys.set_int_max_str_digits(0)  # integers are exact decimal strings at any size
+    args = build_parser().parse_args(argv)
     try:
-        results, header, rows = handler(args)
-    except (DomainError, CapacityError) as exc:
-        print(f"twinsieve {args.command}: {exc}", file=sys.stderr)
+        results, header, rows = _HANDLERS[args.command](args)
+    except (DomainError, CapacityError, MemoryError) as exc:
+        print(f"twinsieve {args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-    if args.emit == "json":
+    if args.emit == "csv":
+        text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+    else:
         parameters = {
             k: v
             for k, v in vars(args).items()
@@ -414,10 +356,11 @@ def main(argv: list[str] | None = None) -> int:
             "results": _encode(results),
             "engine_version": __version__,
         }
-        text = _emit_json(envelope)
+        text = json.dumps(envelope, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
     else:
-        text = _emit_csv(header, rows)
-    _write_output(text, args.out)
+        _write_atomic(Path(args.out), text)
     return 0
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .arith import SquarefreeTerm, is_prime, next_prime, primes_between, squarefree_terms
 from .errors import DomainError
 from .oracle import DEFAULT_CEILING, pi2_exact, prime_values_segmented
+from .parallel import parallel_map
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -85,13 +86,10 @@ def _ie_terms(p_j: int, x: int) -> list[SquarefreeTerm]:
 
 def _ie_floor_sum(terms: list[SquarefreeTerm], x: int, workers: int = 1) -> int:
     """Sum of mu(n) * 2^nu(n) * floor(x/n); integer-exact, so any partition merges equally."""
-    if workers <= 1:
+    if workers <= 1:  # in-process, skip the picklable triples: they cost more than the sum
         return sum(t.mu * (1 << t.nu) * (x // t.n) for t in terms)
-    from concurrent.futures import ProcessPoolExecutor
-
     chunks = [(x, [(t.n, t.mu, t.nu) for t in terms[i::workers]]) for i in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_ie_floor_chunk, chunks))
+    return sum(parallel_map(_ie_floor_chunk, chunks, workers))
 
 
 def _ie_floor_chunk(args: tuple[int, list[tuple[int, int, int]]]) -> int:

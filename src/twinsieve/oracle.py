@@ -15,6 +15,7 @@ import numpy as np
 
 from .classify import NON_RANK, TWIN_RANK, classify
 from .errors import CapacityError, DomainError
+from .parallel import parallel_map
 
 DEFAULT_CEILING = 10**9
 DEFAULT_SEGMENT = 1 << 20
@@ -156,13 +157,7 @@ def verify_classify(
         raise CapacityError(f"6*{limit}+1 exceeds the sieve ceiling {ceiling}")
     chunks = _rank_chunks(1, limit, _VERIFY_CHUNK_RANKS)
     t0 = time.perf_counter()
-    if workers <= 1:
-        results = [_verify_chunk(c) for c in chunks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_chunk, chunks))
+    results = parallel_map(_verify_chunk, chunks, workers)
     elapsed = time.perf_counter() - t0
     twins = sum(t for t, _ in results)
     mismatches: list[tuple[int, str, str]] = []

@@ -11,6 +11,7 @@ ranks) survive, exactly as they do in a true interval sieve.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,6 +22,7 @@ from .arith import is_prime, next_prime, nsix, primes_between
 from .classify import classify
 from .counting import m_bound
 from .errors import CapacityError, DomainError
+from .parallel import parallel_map
 
 MATERIALIZE_GUARD = 10**8
 
@@ -219,18 +221,10 @@ def crt_family(primes: Sequence[int], *, workers: int = 1) -> ProgressionFamily:
     offsets = tuple(nsix(q) for q in ps)
     pt = tuple(ps)
     all_masks = list(range(1 << m))
-    if workers <= 1:
-        pairs = _family_chunk((pt, offsets, all_masks, m))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [(pt, offsets, all_masks[i::workers], m) for i in range(workers)]
-        pairs = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_family_chunk, chunks):
-                pairs.extend(part)
+    n_chunks = max(workers, 1)
+    chunks = [(pt, offsets, all_masks[i::n_chunks], m) for i in range(n_chunks)]
     members = []
-    for mask, residue in pairs:
+    for mask, residue in itertools.chain.from_iterable(parallel_map(_family_chunk, chunks, workers)):
         signs = tuple("-" if mask & (1 << (m - 1 - i)) else "+" for i in range(m))
         members.append(FamilyMember(signs=signs, residue=residue))
     members.sort(key=lambda fm: fm.residue)

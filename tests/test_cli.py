@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from twinsieve import __version__
+from twinsieve import __version__, primorial_from_5
+from twinsieve import cli
 from twinsieve.cli import main
 
-from reference_lists import C5, REMNANTS_61_BELOW_748
+from reference_lists import C5, C7, REMNANTS_61_BELOW_748
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +40,11 @@ class TestEnvelope:
         env = run_json(capsys, "counts", "--level", "7")
         assert env["results"]["Q"] == "4/7"
         assert env["results"]["q"] == "6/35"
+
+    def test_integers_of_any_size_are_exact(self, capsys):
+        env = run_json(capsys, "counts", "--level", "10007")
+        # L has 4,301 digits, past the interpreter's default int-to-str limit.
+        assert env["results"]["L"] == str(primorial_from_5(10007))
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run_cli(capsys, "legendre", "--level", "7")
@@ -122,6 +128,33 @@ class TestCsv:
         assert "28,intruder,13" in lines
         assert "1,front_twin_rank," in lines
 
+    # (argv, keys whose values are wall-clock timings and differ between runs)
+    SCALAR_COMMANDS = [
+        (("classify", "20"), ()),  # both sides composite: a list cell
+        (("classify", "5"), ()),  # twin rank: empty cells
+        (("counts", "--level", "7"), ()),
+        (("legendre", "--level", "13", "--ceiling", "1000"), ()),
+        (("mainterm", "--level", "7"), ()),
+        (("c2", "--tol", "1e-5"), ()),
+        (("verify", "--limit", "300"), ()),
+        (("bench", "--limit", "1000"), ("sieve_seconds", "classify_seconds", "classify_per_second")),
+    ]
+
+    @pytest.mark.parametrize("argv, timings", SCALAR_COMMANDS, ids=[" ".join(a) for a, _ in SCALAR_COMMANDS])
+    def test_scalar_row_is_the_json_results(self, capsys, argv, timings):
+        results = run_json(capsys, *argv)["results"]
+        results.pop("mismatches", None)
+        code, out, _ = run_cli(capsys, "--emit", "csv", *argv)
+        assert code == 0
+        header, row = out.rstrip("\n").split("\n")
+        cells = dict(zip(header.split(","), row.split(","), strict=True))
+        assert sorted(cells) == sorted(results)
+        for key, value in results.items():
+            if key in timings:
+                continue
+            want = "" if value is None else " ".join(value) if isinstance(value, list) else str(value)
+            assert cells[key] == want, key
+
 
 class TestErrorsAndOutput:
     def test_usage_error_exits_2(self, capsys):
@@ -157,6 +190,50 @@ class TestErrorsAndOutput:
         assert code == 0 and out == ""
         env = json.loads(target.read_text())
         assert env["results"]["verdict"] == "twin_rank"
+
+    def test_out_file_beside_a_tmp_directory(self, tmp_path, capsys):
+        target = tmp_path / "env.json"
+        (tmp_path / "env.json.tmp").mkdir()
+        code, out, _ = run_cli(capsys, "--out", str(target), "classify", "5")
+        assert code == 0 and out == ""
+        assert json.loads(target.read_text())["results"]["verdict"] == "twin_rank"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["env.json", "env.json.tmp"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "env.json").mkdir()
+        with pytest.raises(IsADirectoryError):
+            cli._write_atomic(tmp_path / "env.json", "{}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["env.json"]
+
+    def test_out_of_memory_exits_1(self, capsys, monkeypatch):
+        def exhausted(level):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "counts_row", exhausted)
+        code, out, err = run_cli(capsys, "counts", "--level", "7")
+        assert (code, out, err) == (1, "", "twinsieve counts: MemoryError\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "# level=7 modulus=35\n",
+            "# level=7 modulus=35\n1\n2\n",  # too few constants
+            "# level=5 modulus=35\n" + "".join(f"{c}\n" for c in C7),  # another level
+            "# level=7 modulus=36\n" + "".join(f"{c}\n" for c in C7),  # wrong modulus
+            "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in reversed(C7)),  # not ascending
+            "# level=7 modulus=35\n" + "".join(f"{c + 35}\n" for c in C7),  # out of range
+            "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + "x\n",  # not an integer
+            "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + f"{C7[-2]}\n",  # repeated
+        ],
+        ids=["empty", "header-only", "too-few", "other-level", "wrong-modulus", "descending",
+             "out-of-range", "not-an-integer", "repeated"],
+    )
+    def test_invalid_cache_file_exits_1(self, tmp_path, capsys, text):
+        (tmp_path / "constants-7.txt").write_text(text)
+        code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), "constants", "--level", "7")
+        assert code == 1 and out == ""
+        assert err.startswith("twinsieve constants: cache file ") and err.count("\n") == 1
 
     def test_cache_roundtrip(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
