@@ -9,8 +9,9 @@ doubles immediately), exact rationals "num/den" strings, floats shortest
 round-trip decimals; a CSV cell space-joins a list and leaves None empty.
 Identical argv produces byte-identical output, except for bench whose payload
 is wall-clock timing by design; verify prints its throughput to stderr to
-keep the envelope deterministic.  Domain, capacity and memory errors, an
-invalid cache file included, exit 1 with one line on stderr.
+keep the envelope deterministic.  Domain, capacity, memory and OS errors (an
+invalid cache file, --workers below 1, an unwritable --out or --cache-dir, a
+closed stdout pipe) exit 1 with one line on stderr.
 """
 
 from __future__ import annotations
@@ -338,29 +339,34 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)  # integers are exact decimal strings at any size
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise DomainError(f"--workers must be >= 1, got {args.workers}")
         results, header, rows = _HANDLERS[args.command](args)
-    except (DomainError, CapacityError, MemoryError) as exc:
+        if args.emit == "csv":
+            text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+        else:
+            parameters = {
+                k: v
+                for k, v in vars(args).items()
+                if k not in ("command", "emit", "out", "cache_dir") and v is not None
+            }
+            envelope = {
+                "command": args.command,
+                "parameters": _encode(parameters),
+                "results": _encode(results),
+                "engine_version": __version__,
+            }
+            text = json.dumps(envelope, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            _write_atomic(Path(args.out), text)
+    except (DomainError, CapacityError, MemoryError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # the reader left: the flush at exit goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"twinsieve {args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-    if args.emit == "csv":
-        text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
-    else:
-        parameters = {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("command", "emit", "out", "cache_dir") and v is not None
-        }
-        envelope = {
-            "command": args.command,
-            "parameters": _encode(parameters),
-            "results": _encode(results),
-            "engine_version": __version__,
-        }
-        text = json.dumps(envelope, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_atomic(Path(args.out), text)
     return 0
 
 

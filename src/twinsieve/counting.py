@@ -21,10 +21,11 @@ from .parallel import parallel_map
 EULER_GAMMA = 0.5772156649015329
 
 
-def _levels(p_j: int) -> list[int]:
-    if p_j < 5 or not is_prime(p_j):
-        raise DomainError(f"level must be a prime >= 5, got {p_j}")
-    return primes_between(4, p_j)
+def level_primes(p: int) -> list[int]:
+    """The primes 5..p of sieve level p; DomainError unless p is a prime >= 5."""
+    if p < 5 or not is_prime(p):
+        raise DomainError(f"sieve level must be a prime >= 5, got {p}")
+    return primes_between(4, p)
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class CountsRow:
 
 def counts_row(p_j: int) -> CountsRow:
     """Exact L, G, q, S, Q, R, x for one sieve level."""
-    levels = _levels(p_j)
+    levels = level_primes(p_j)
     L = math.prod(levels)
     R = math.prod(q - 2 for q in levels)
     G = 2 * math.prod(q - 2 for q in levels[:-1])
@@ -66,7 +67,7 @@ def counts_row(p_j: int) -> CountsRow:
 
 def supergroup_size(p_j: int) -> int:
     """Non-ranks per period contributed by all primes 5..p_j: L*(1 - prod (p-2)/p)."""
-    levels = _levels(p_j)
+    levels = level_primes(p_j)
     return math.prod(levels) - math.prod(q - 2 for q in levels)
 
 
@@ -126,7 +127,7 @@ def legendre_pi2(
     The two oracle counts answer the two readings of what is estimated: twin
     ranks up to x (pi2 of 6x+1) and twin ranks in the whole period [1, L].
     """
-    levels = _levels(p_j)
+    levels = level_primes(p_j)
     if p_j < 7:
         raise DomainError(f"legendre_pi2 needs a level >= 7, got {p_j}")
     p_nxt = next_prime(p_j)
@@ -175,7 +176,7 @@ class MainTermReport:
 
 def main_term(p_j: int, *, workers: int = 1) -> MainTermReport:
     """Exact-rational main term at level p_j, both forms, with the asymptote."""
-    levels = _levels(p_j)
+    levels = level_primes(p_j)
     if p_j < 7:
         raise DomainError(f"main_term needs a level >= 7, got {p_j}")
     p_nxt = next_prime(p_j)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import os
+
 
 def parallel_map(fn, items, workers: int) -> list:
-    """[fn(item) for item in items], spread over `workers` processes when workers > 1.
+    """[fn(item) for item in items] on min(workers, cores, len(items)) processes; in-process for one.
 
     fn must be a module-level function, since the pool pickles it by name.
     Results come back in the order of items, so the merged result depends only
-    on how the caller cuts its chunks, never on scheduling.
+    on how the caller cuts its chunks, never on scheduling or the pool size.
     """
+    workers = min(workers, os.cpu_count() or 1, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor  # lazy: pulls in multiprocessing, ~20 ms of start-up

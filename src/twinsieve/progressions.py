@@ -1,12 +1,12 @@
 """Admissible residue systems modulo primorials and multi-prime non-rank families.
 
-Two related views of each sieve level p live here.  residue_set is the
-class-level view: residues c mod L(p) whose classes avoid +-N(q/6) mod q for
-every prime 5 <= q <= p; its cardinality is prod (q-2) and it is the
-complement structure the counting identities are about.  remnants_below is the
-value-level view: it strikes only actual non-rank values q*n +- N(q/6) with
-n >= 1, so the finitely many n = 0 offsets (1, 2, 3, 5, ... when they are twin
-ranks) survive, exactly as they do in a true interval sieve.
+Every non-rank is n*q +- N(q/6) with n >= 1, so one kernel, _least_parent,
+sieves ranks directly and tags each with its least parent prime.  Both views
+of a sieve level p come from it and differ only in the n = 0 offsets N(q/6):
+remnants_below, the value-level view, keeps them (1, 2, 3, 5, ... when they
+are twin ranks), as a true interval sieve does; residue_set, the class-level
+view over one period L(p), drops them, leaving the prod (q-2) classes the
+counting identities are about.
 """
 
 from __future__ import annotations
@@ -20,17 +20,27 @@ import numpy as np
 
 from .arith import is_prime, next_prime, nsix, primes_between
 from .classify import classify
-from .counting import m_bound
+from .counting import level_primes, m_bound
 from .errors import CapacityError, DomainError
 from .parallel import parallel_map
 
 MATERIALIZE_GUARD = 10**8
+REMNANTS_GUARD = 10**7
 
 
-def _validate_level(p: int) -> list[int]:
-    if p < 5 or not is_prime(p):
-        raise DomainError(f"sieve level must be a prime >= 5, got {p}")
-    return primes_between(4, p)
+def _least_parent(lo: int, hi: int, primes: Sequence[int]) -> np.ndarray:
+    """For each rank v in [lo, hi), the least q in primes with v = n*q +- N(q/6), n >= 1; else 0.
+
+    The primes strike in descending order, one strided write per class, so the
+    last write is the least parent.  The dtype is the smallest unsigned type
+    that holds the largest prime.
+    """
+    lp = np.zeros(hi - lo, dtype=np.min_scalar_type(max(primes, default=0)))
+    for q in sorted(primes, reverse=True):
+        off = nsix(q)
+        for first in (q - off, q + off):  # n = 1 of the -N(q/6) and the +N(q/6) class
+            lp[max(first - lo, (first - lo) % q) :: q] = q
+    return lp
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,23 +65,19 @@ class ResidueSet:
 
 def residue_set_size(p: int) -> int:
     """prod (q-2) over primes 5 <= q <= p, without materializing anything."""
-    return math.prod(q - 2 for q in _validate_level(p))
+    return math.prod(q - 2 for q in level_primes(p))
 
 
 def residue_set(p: int) -> ResidueSet:
-    """Materialize the admissible residue classes at level p by direct filtering."""
-    levels = _validate_level(p)
+    """The admissible residue classes at level p: one period's survivors, less the n = 0 offsets."""
+    levels = level_primes(p)
     size = math.prod(q - 2 for q in levels)
     if size > MATERIALIZE_GUARD:
-        raise CapacityError(
-            f"C_{p} holds {size} residues (> {MATERIALIZE_GUARD}); use remnants_below for interval queries"
-        )
+        raise CapacityError(f"C_{p} holds {size} residues (> {MATERIALIZE_GUARD}); "
+                            "use remnants_below for interval queries")
     modulus = math.prod(levels)
-    keep = np.ones(modulus, dtype=bool)
-    for q in levels:
-        off = nsix(q)
-        keep[off::q] = False
-        keep[q - off :: q] = False
+    keep = _least_parent(0, modulus, levels) == 0
+    keep[[nsix(q) for q in levels]] = False
     return ResidueSet(p=p, modulus=modulus, constants=np.flatnonzero(keep).astype(np.int64))
 
 
@@ -81,8 +87,7 @@ def inductive_step(current: ResidueSet, p_next: int) -> ResidueSet:
     Equals residue_set(p_next) elementwise; kept as an independent construction
     so the two can cross-check each other.
     """
-    if p_next < 5 or not is_prime(p_next):
-        raise DomainError(f"p_next must be a prime >= 5, got {p_next}")
+    level_primes(p_next)
     if next_prime(current.p) != p_next:
         raise DomainError(f"{p_next} does not follow level {current.p}")
     if len(current) * (p_next - 2) > MATERIALIZE_GUARD:
@@ -106,13 +111,8 @@ def boundary_twin_ranks(p: int) -> list[int]:
     The rank 1 (pair 5, 7) is excluded: level 5 strikes its full classes, so 1
     never enters any constants list.
     """
-    _validate_level(p)
-    keepers = set()
-    for q in primes_between(6, p):
-        v = nsix(q)
-        if v % 5 not in (1, 4) and classify(v).is_twin_rank:
-            keepers.add(v)
-    return sorted(keepers)
+    offsets = {nsix(q) for q in level_primes(p)[1:]}
+    return sorted(v for v in offsets if v % 5 not in (1, 4) and classify(v).is_twin_rank)
 
 
 @dataclass(frozen=True)
@@ -133,33 +133,32 @@ class RemnantReport:
 
 
 def remnants_below(p_sieve: int, bound: int) -> RemnantReport:
-    """Value-level remnants in [1, bound), split at the front threshold."""
-    levels = _validate_level(p_sieve)
+    """Value-level remnants in [1, bound), split at the front threshold.
+
+    The kernel runs with the primes up to max(p, sqrt(6*bound - 5)), which
+    covers the least prime factor of every composite side, so a rank's least
+    parent is classify's parent: above p for an intruder, 0 for a twin rank.
+    """
+    level_primes(p_sieve)
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
-    keep = np.ones(bound, dtype=bool)
-    keep[0] = False
-    for q in levels:
-        off = nsix(q)
-        if off + q < bound:
-            keep[off + q :: q] = False  # +N(q/6) class, n >= 1
-        if q - off < bound:
-            keep[q - off :: q] = False  # -N(q/6) class, n >= 1
-    remnants = np.flatnonzero(keep)
+    if bound > REMNANTS_GUARD:
+        raise CapacityError(f"remnants bound {bound} exceeds {REMNANTS_GUARD}")
+    lp = _least_parent(1, bound, primes_between(4, max(p_sieve, math.isqrt(6 * (bound - 1) + 1))))
+    if bound > 1 and (classify(bound - 1).parent or 0) != lp[-1]:  # spot-check where the prime bound is tightest
+        raise RuntimeError(f"least parent of {bound - 1} disagrees with classify")
+    intruder = lp > p_sieve
+    remnants = np.flatnonzero(intruder | (lp == 0)) + 1
+    hits = np.flatnonzero(intruder)
     front_bound = m_bound(next_prime(p_sieve))
     front = remnants[remnants < front_bound]
-    intruders = []
-    for v in remnants[remnants >= front_bound].tolist():
-        c = classify(v)
-        if not c.is_twin_rank:
-            intruders.append((v, c.parent))
     return RemnantReport(
         p=p_sieve,
         bound=bound,
         front_bound=front_bound,
         remnants=tuple(remnants.tolist()),
         front_twin_ranks=tuple(front.tolist()),
-        intruders=tuple(intruders),
+        intruders=tuple(zip((hits + 1).tolist(), lp[hits].tolist())),
     )
 
 

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  Two reproduction tables are
-written under reports/: legendre_residuals.csv and density_ratios.csv.
+Run with `pytest tests/test_acceptance.py -v -s`.  Criteria 6 and 8 rebuild the
+two reproduction tables kept under reports/, legendre_residuals.csv and
+density_ratios.csv, in pytest's tmp_path and require them byte-equal to the
+committed files; on a mismatch the rebuilt table is left in tmp_path.
 """
 
 import csv
@@ -158,7 +160,7 @@ def test_criterion_5_progression_families():
     print("criterion 5 PASS: 2^m families match brute-force period scans for all subsets of {5,7,11,13}")
 
 
-def test_criterion_6_legendre_reports_with_residual_table():
+def test_criterion_6_legendre_reports_with_residual_table(tmp_path):
     rep7 = legendre_pi2(7)
     assert (rep7.R0, rep7.ie_sum, rep7.estimate) == (15, -4, 11)
     assert (rep7.oracle_pi2, rep7.oracle_window) == (7, 14)
@@ -173,8 +175,8 @@ def test_criterion_6_legendre_reports_with_residual_table():
         assert rep.residual_window == rep.estimate - rep.oracle_window
         rows.append(rep)
 
-    REPORTS.mkdir(exist_ok=True)
-    with open(REPORTS / "legendre_residuals.csv", "w", newline="") as fh:
+    table = tmp_path / "legendre_residuals.csv"
+    with open(table, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(
             ["level", "p_next", "M", "x", "R0", "ie_sum", "estimate",
@@ -185,9 +187,10 @@ def test_criterion_6_legendre_reports_with_residual_table():
                 [r.p_j, r.p_next, r.M, r.x, r.R0, r.ie_sum, r.estimate,
                  r.oracle_pi2, r.oracle_window, r.residual_pi2, r.residual_window]
             )
+    assert table.read_bytes() == (REPORTS / table.name).read_bytes()
     print(
         "criterion 6 PASS: level-7 report exact; levels 11/13 residuals "
-        f"{[(r.p_j, r.residual_pi2, r.residual_window) for r in rows[1:]]} persisted to reports/legendre_residuals.csv"
+        f"{[(r.p_j, r.residual_pi2, r.residual_window) for r in rows[1:]]} match reports/legendre_residuals.csv"
     )
 
 
@@ -204,7 +207,7 @@ def test_criterion_7_constants():
     )
 
 
-def test_criterion_8_main_terms_and_density_table():
+def test_criterion_8_main_terms_and_density_table(tmp_path):
     gaps = []
     for level in (7, 11, 13):
         rep = main_term(level)
@@ -214,8 +217,8 @@ def test_criterion_8_main_terms_and_density_table():
     assert main_term(7).R_M_sum == Fraction(1425, 143)
     assert main_term(7).R_M_product == Fraction(215, 13)
 
-    REPORTS.mkdir(exist_ok=True)
-    with open(REPORTS / "density_ratios.csv", "w", newline="") as fh:
+    table = tmp_path / "density_ratios.csv"
+    with open(table, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["x", "density", "pi2_6x_plus_1", "ratio"])
         for exp in (3, 4, 5, 6):
@@ -225,9 +228,10 @@ def test_criterion_8_main_terms_and_density_table():
             ratio = density / pi2
             assert math.isfinite(ratio) and ratio > 0
             w.writerow([x, repr(density), pi2, repr(ratio)])
+    assert table.read_bytes() == (REPORTS / table.name).read_bytes()
     print(
         f"criterion 8 PASS: exact main terms at 7/11/13 (form gaps {gaps}); "
-        "density ratio table written to reports/density_ratios.csv"
+        "density ratio table matches reports/density_ratios.csv"
     )
 
 

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +207,42 @@ class TestErrorsAndOutput:
         with pytest.raises(IsADirectoryError):
             cli._write_atomic(tmp_path / "env.json", "{}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["env.json"]
+
+    def test_out_into_missing_directory_exits_1(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "--out", str(tmp_path / "missing" / "env.json"), "classify", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("twinsieve classify: [Errno 2] ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_dir_that_is_a_file_exits_1(self, tmp_path, capsys):
+        (tmp_path / "cache").write_text("")
+        code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path / "cache"), "constants", "--level", "7")
+        assert code == 1 and out == ""
+        assert err.startswith("twinsieve constants: [Errno ") and err.count("\n") == 1
+
+    def test_closed_stdout_pipe_exits_1(self):
+        # The envelope outgrows the pipe buffer, so the write fails even if the
+        # child starts writing before the read end is closed.
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "twinsieve.cli", "twins", "--limit", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": str(src)},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
+        assert err == "twinsieve twins: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_1(self, capsys, workers):
+        code, out, err = run_cli(capsys, "--workers", workers, "family", "--primes", "5,7")
+        assert (code, out) == (1, "")
+        assert err == f"twinsieve family: --workers must be >= 1, got {workers}\n"
+
+    def test_remnants_above_guard_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "remnants", "--level", "61", "--bound", "10000001")
+        assert (code, out) == (1, "")
+        assert err == "twinsieve remnants: remnants bound 10000001 exceeds 10000000\n"
 
     def test_out_of_memory_exits_1(self, capsys, monkeypatch):
         def exhausted(level):

@@ -3,11 +3,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twinsieve.arith import nsix, primes_between
+from twinsieve.arith import next_prime, nsix, primes_between
 from twinsieve.classify import classify
+from twinsieve.counting import m_bound
 from twinsieve.errors import CapacityError, DomainError
+from twinsieve.oracle import _twin_truth
 from twinsieve.progressions import (
+    REMNANTS_GUARD,
+    _least_parent,
     boundary_twin_ranks,
     crt_family,
     gap_pattern,
@@ -37,6 +42,42 @@ def brute_force_classes(levels: list[int], modulus: int) -> list[int]:
         if all(c % q not in (nsix(q) % q, (-nsix(q)) % q) for q in levels):
             out.append(c)
     return out
+
+
+def slow_remnants(p: int, bound: int):
+    """The value-level strike loop plus one classify per remnant past the front, as a reference."""
+    keep = np.ones(bound, dtype=bool)
+    keep[0] = False
+    for q in primes_between(4, p):
+        off = nsix(q)
+        keep[q + off :: q] = False
+        keep[q - off :: q] = False
+    remnants = np.flatnonzero(keep).tolist()
+    front_bound = m_bound(next_prime(p))
+    intruders = tuple((v, c.parent) for v in remnants if v >= front_bound and not (c := classify(v)).is_twin_rank)
+    front = tuple(v for v in remnants if v < front_bound)
+    return front_bound, tuple(remnants), front, intruders
+
+
+class TestLeastParent:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**6 - 1), st.integers(min_value=1, max_value=1000))
+    def test_window_matches_oracle_and_classify(self, lo, width):
+        hi = min(lo + width, 10**6)
+        lp = _least_parent(lo, hi, primes_between(4, math.isqrt(6 * hi + 1)))
+        assert np.array_equal(lp == 0, _twin_truth(lo, hi - 1))
+        for v in np.flatnonzero(lp).tolist():
+            assert lp[v] == classify(lo + v).parent, lo + v
+
+    def test_dtype_holds_the_largest_prime(self):
+        assert _least_parent(1, 10, [5, 7, 251]).dtype == np.uint8
+        assert _least_parent(1, 10, [5, 7, 257]).dtype == np.uint16
+        assert _least_parent(1, 10, []).tolist() == [0] * 9
+
+    def test_least_parent_wins_where_primes_meet(self):
+        # 34 = 5*7 - 1 = 7*5 - 1 is struck by both and tagged 5; 15 = 7*2 + 1 only by 7.
+        lp = _least_parent(10, 40, [5, 7])
+        assert (lp[34 - 10], lp[15 - 10], lp[12 - 10]) == (5, 7, 0)
 
 
 class TestResidueSet:
@@ -208,6 +249,17 @@ class TestRemnants:
             rep = remnants_below(level, 1000)
             for m in rep.front_twin_ranks:
                 assert classify(m).is_twin_rank
+
+    @pytest.mark.parametrize(
+        "level, bound", [(5, 5), (7, 35), (13, 5000), (31, 20000), (61, 748), (61, 40000), (101, 20000), (257, 3000)]
+    )
+    def test_matches_strike_loop_and_classify(self, level, bound):
+        rep = remnants_below(level, bound)
+        assert (rep.front_bound, rep.remnants, rep.front_twin_ranks, rep.intruders) == slow_remnants(level, bound)
+
+    def test_capacity_guard(self):
+        with pytest.raises(CapacityError, match=str(REMNANTS_GUARD)):
+            remnants_below(61, REMNANTS_GUARD + 1)
 
     def test_domain(self):
         with pytest.raises(DomainError):
