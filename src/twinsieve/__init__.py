@@ -31,7 +31,6 @@ from .counting import (
     legendre_pi2,
     m_bound,
     main_term,
-    supergroup_size,
     twin_prime_constant,
 )
 from .errors import CapacityError, DomainError

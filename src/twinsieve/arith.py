@@ -215,8 +215,9 @@ def squarefree_terms(generating_primes: list[int], cap: int) -> list[SquarefreeT
     ps = sorted(generating_primes)
     if len(set(ps)) != len(ps):
         raise DomainError("generating primes must be distinct")
+    known = shared_table(2)  # as far as primes_between has sieved; Miller-Rabin past its end
     for q in ps:
-        if q < 2 or not is_prime(q):
+        if q not in known and (q <= known.limit or not is_prime(q)):
             raise DomainError(f"{q} is not prime")
     out: list[SquarefreeTerm] = []
 

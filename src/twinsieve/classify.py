@@ -21,6 +21,8 @@ SIDE_PLUS = "plus"    # 6m + 1
 SIGN_PLUS = "+"
 SIGN_MINUS = "-"
 
+NONRANKS_GUARD = 10**6
+
 
 @dataclass(frozen=True)
 class NonRankTerm:
@@ -56,9 +58,14 @@ def nonranks_of(p: int, limit: int) -> list[NonRankTerm]:
     """All non-rank values n*p +- N(p/6) <= limit with n >= 1, ascending.
 
     The n = 0 offsets are twin ranks when the companion of p is prime, so they
-    are not generated here (rank_from_prime covers them).
+    are not generated here (rank_from_prime covers them).  Raises
+    CapacityError, before generating any, when there would be more than
+    NONRANKS_GUARD terms.
     """
     off = nsix(p)  # validates p
+    count = max(0, (limit + off) // p) + max(0, (limit - off) // p)
+    if count > NONRANKS_GUARD:
+        raise CapacityError(f"{count} non-ranks of {p} up to {limit} exceed {NONRANKS_GUARD}")
     out: list[NonRankTerm] = []
     n = 1
     while n * p - off <= limit:

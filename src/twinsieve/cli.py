@@ -27,7 +27,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .arith import primorial_from_5
 from .counting import (
     asymptote_coefficient,
     counts_row,
@@ -39,7 +38,7 @@ from .counting import (
 from .classify import classify, nonranks_of
 from .errors import CapacityError, DomainError
 from .oracle import DEFAULT_CEILING, pi2_exact, twin_ranks_up_to, verify_classify
-from .progressions import crt_family, nested_form, remnants_below, residue_set, residue_set_size
+from .progressions import crt_family, nested_form, remnants_below, residue_set
 
 
 def _encode(obj):
@@ -86,18 +85,21 @@ def _parse_primes(text: str) -> list[int]:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    """Replace path with text through a unique temp file beside it."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    """Replace path with text through a unique temp file beside it; an OSError names path."""
     try:
-        with os.fdopen(fd, "w") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open() would give, not mkstemp's 0600
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open() would give, not mkstemp's 0600
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:  # the temp file is an implementation detail; report the target
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _cache_path(cache_dir: str, level: int) -> Path:
@@ -109,7 +111,8 @@ def _load_cached_constants(cache_dir: str, level: int):
     path = _cache_path(cache_dir, level)
     if not path.is_file():
         return None
-    modulus, count = primorial_from_5(level), residue_set_size(level)
+    row = counts_row(level)
+    modulus, count = row.L, row.R
     try:
         head, *body = path.read_text().splitlines()
         constants = [int(v) for v in body]

@@ -21,19 +21,14 @@ from .parallel import parallel_map
 EULER_GAMMA = 0.5772156649015329
 
 
-def level_primes(p: int) -> list[int]:
-    """The primes 5..p of sieve level p; DomainError unless p is a prime >= 5."""
-    if p < 5 or not is_prime(p):
-        raise DomainError(f"sieve level must be a prime >= 5, got {p}")
-    return primes_between(4, p)
-
-
 @dataclass(frozen=True)
 class CountsRow:
     """Per-period counts at level p_j: all fields exact.
 
     L is the period, G the non-ranks per period owned by p_j, S the supergroup
-    size, R the remnant-class count, q = G/L, Q = S/L, x_frac = R/L.
+    size, R the remnant-class count, q = G/L, Q = S/L, x_frac = R/L.  The
+    properties give the rest of the level: its primes 5..p_j, the next prime,
+    the front bound M = (p_next**2 - 1)/6 and x = L - M.
     """
 
     p_j: int
@@ -45,10 +40,28 @@ class CountsRow:
     R: int
     x_frac: Fraction
 
+    @property
+    def primes(self) -> list[int]:
+        return primes_between(4, self.p_j)
+
+    @property
+    def p_next(self) -> int:
+        return next_prime(self.p_j)
+
+    @property
+    def M(self) -> int:
+        return m_bound(self.p_next)
+
+    @property
+    def x(self) -> int:
+        return self.L - self.M
+
 
 def counts_row(p_j: int) -> CountsRow:
-    """Exact L, G, q, S, Q, R, x for one sieve level."""
-    levels = level_primes(p_j)
+    """The record of one sieve level; DomainError unless p_j is a prime >= 5."""
+    if p_j < 5 or not is_prime(p_j):
+        raise DomainError(f"sieve level must be a prime >= 5, got {p_j}")
+    levels = primes_between(4, p_j)
     L = math.prod(levels)
     R = math.prod(q - 2 for q in levels)
     G = 2 * math.prod(q - 2 for q in levels[:-1])
@@ -63,12 +76,6 @@ def counts_row(p_j: int) -> CountsRow:
         R=R,
         x_frac=Fraction(R, L),
     )
-
-
-def supergroup_size(p_j: int) -> int:
-    """Non-ranks per period contributed by all primes 5..p_j: L*(1 - prod (p-2)/p)."""
-    levels = level_primes(p_j)
-    return math.prod(levels) - math.prod(q - 2 for q in levels)
 
 
 def m_bound(p_next: int) -> int:
@@ -127,27 +134,21 @@ def legendre_pi2(
     The two oracle counts answer the two readings of what is estimated: twin
     ranks up to x (pi2 of 6x+1) and twin ranks in the whole period [1, L].
     """
-    levels = level_primes(p_j)
+    row = counts_row(p_j)
     if p_j < 7:
         raise DomainError(f"legendre_pi2 needs a level >= 7, got {p_j}")
-    p_nxt = next_prime(p_j)
-    M = m_bound(p_nxt)
-    L = math.prod(levels)
-    x = L - M
-    if x <= 0:
-        raise DomainError(f"level {p_j} leaves no room: L = {L}, M = {M}")
-    R0 = math.prod(q - 2 for q in levels)
+    x = row.x
     ie_sum = _ie_floor_sum(_ie_terms(p_j, x), x, workers)
-    estimate = R0 + ie_sum
+    estimate = row.R + ie_sum
 
     oracle_pi2 = pi2_exact(6 * x + 1, ceiling=ceiling) if 6 * x + 1 <= ceiling else None
-    oracle_window = pi2_exact(6 * L + 1, ceiling=ceiling) if 6 * L + 1 <= ceiling else None
+    oracle_window = pi2_exact(6 * row.L + 1, ceiling=ceiling) if 6 * row.L + 1 <= ceiling else None
     return LegendreReport(
         p_j=p_j,
-        p_next=p_nxt,
-        M=M,
+        p_next=row.p_next,
+        M=row.M,
         x=x,
-        R0=R0,
+        R0=row.R,
         ie_sum=ie_sum,
         estimate=estimate,
         oracle_pi2=oracle_pi2,
@@ -176,30 +177,24 @@ class MainTermReport:
 
 def main_term(p_j: int, *, workers: int = 1) -> MainTermReport:
     """Exact-rational main term at level p_j, both forms, with the asymptote."""
-    levels = level_primes(p_j)
+    row = counts_row(p_j)
     if p_j < 7:
         raise DomainError(f"main_term needs a level >= 7, got {p_j}")
-    p_nxt = next_prime(p_j)
-    M = m_bound(p_nxt)
-    L = math.prod(levels)
-    x = L - M
-    R0 = math.prod(q - 2 for q in levels)
+    R0, x = row.R, row.x
     terms = _ie_terms(p_j, x)
     rm_sum = Fraction(R0) + sum(
         (Fraction(t.mu * (1 << t.nu) * x, t.n) for t in terms), Fraction(0)
     )
     estimate = R0 + _ie_floor_sum(terms, x, workers)
 
-    # Products kept as unreduced integer pairs; one Fraction normalization at the end.
-    num_all = den_all = 1
-    for q in primes_between(4, x):
-        num_all *= q - 2
-        den_all *= q
+    # L * prod_{5<=q<=x} (q-2)/q = R0 * tail, tail the product over p_j < q <= x,
+    # kept as an unreduced integer pair until one Fraction normalization.
     num_tail = den_tail = 1
     for q in primes_between(p_j, x):
         num_tail *= q - 2
         den_tail *= q
-    rm_product = L * Fraction(num_all, den_all) + M * (1 - Fraction(num_tail, den_tail))
+    tail = Fraction(num_tail, den_tail)
+    rm_product = R0 * tail + row.M * (1 - tail)
 
     return MainTermReport(
         p_j=p_j,

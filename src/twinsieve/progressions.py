@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import is_prime, next_prime, nsix, primes_between
+from .arith import is_prime, nsix, primes_between
 from .classify import classify
-from .counting import level_primes, m_bound
+from .counting import counts_row
 from .errors import CapacityError, DomainError
 from .parallel import parallel_map
 
@@ -63,22 +63,16 @@ class ResidueSet:
         return i < len(self) and int(self.constants[i]) == c
 
 
-def residue_set_size(p: int) -> int:
-    """prod (q-2) over primes 5 <= q <= p, without materializing anything."""
-    return math.prod(q - 2 for q in level_primes(p))
-
-
 def residue_set(p: int) -> ResidueSet:
     """The admissible residue classes at level p: one period's survivors, less the n = 0 offsets."""
-    levels = level_primes(p)
-    size = math.prod(q - 2 for q in levels)
-    if size > MATERIALIZE_GUARD:
-        raise CapacityError(f"C_{p} holds {size} residues (> {MATERIALIZE_GUARD}); "
+    row = counts_row(p)
+    if row.R > MATERIALIZE_GUARD:
+        raise CapacityError(f"C_{p} holds {row.R} residues (> {MATERIALIZE_GUARD}); "
                             "use remnants_below for interval queries")
-    modulus = math.prod(levels)
-    keep = _least_parent(0, modulus, levels) == 0
+    levels = row.primes
+    keep = _least_parent(0, row.L, levels) == 0
     keep[[nsix(q) for q in levels]] = False
-    return ResidueSet(p=p, modulus=modulus, constants=np.flatnonzero(keep).astype(np.int64))
+    return ResidueSet(p=p, modulus=row.L, constants=np.flatnonzero(keep).astype(np.int64))
 
 
 def inductive_step(current: ResidueSet, p_next: int) -> ResidueSet:
@@ -87,8 +81,7 @@ def inductive_step(current: ResidueSet, p_next: int) -> ResidueSet:
     Equals residue_set(p_next) elementwise; kept as an independent construction
     so the two can cross-check each other.
     """
-    level_primes(p_next)
-    if next_prime(current.p) != p_next:
+    if counts_row(current.p).p_next != p_next:
         raise DomainError(f"{p_next} does not follow level {current.p}")
     if len(current) * (p_next - 2) > MATERIALIZE_GUARD:
         raise CapacityError(f"lift to level {p_next} exceeds {MATERIALIZE_GUARD} residues")
@@ -111,7 +104,7 @@ def boundary_twin_ranks(p: int) -> list[int]:
     The rank 1 (pair 5, 7) is excluded: level 5 strikes its full classes, so 1
     never enters any constants list.
     """
-    offsets = {nsix(q) for q in level_primes(p)[1:]}
+    offsets = {nsix(q) for q in counts_row(p).primes[1:]}
     return sorted(v for v in offsets if v % 5 not in (1, 4) and classify(v).is_twin_rank)
 
 
@@ -139,7 +132,7 @@ def remnants_below(p_sieve: int, bound: int) -> RemnantReport:
     covers the least prime factor of every composite side, so a rank's least
     parent is classify's parent: above p for an intruder, 0 for a twin rank.
     """
-    level_primes(p_sieve)
+    row = counts_row(p_sieve)
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
     if bound > REMNANTS_GUARD:
@@ -150,12 +143,11 @@ def remnants_below(p_sieve: int, bound: int) -> RemnantReport:
     intruder = lp > p_sieve
     remnants = np.flatnonzero(intruder | (lp == 0)) + 1
     hits = np.flatnonzero(intruder)
-    front_bound = m_bound(next_prime(p_sieve))
-    front = remnants[remnants < front_bound]
+    front = remnants[remnants < row.M]
     return RemnantReport(
         p=p_sieve,
         bound=bound,
-        front_bound=front_bound,
+        front_bound=row.M,
         remnants=tuple(remnants.tolist()),
         front_twin_ranks=tuple(front.tolist()),
         intruders=tuple(zip((hits + 1).tolist(), lp[hits].tolist())),

@@ -221,6 +221,14 @@ class TestSquarefreeTerms:
         with pytest.raises(DomainError):
             squarefree_terms([4], 100)
 
+    def test_generators_past_the_prime_table(self):
+        # Far past any shared table: checked by Miller-Rabin, not by growing a sieve.
+        big = 10**12 + 39
+        terms = squarefree_terms([11, big], 20 * big)
+        assert [(t.n, t.mu, t.nu) for t in terms] == [(11, -1, 1), (big, -1, 1), (11 * big, 1, 2)]
+        with pytest.raises(DomainError):
+            squarefree_terms([11, 10**12 + 41], 100)
+
     def test_terms_divide_generator_product_and_match_mobius(self):
         gens = [5, 7, 11, 13, 17, 19, 23, 29, 31]
         product = math.prod(gens)

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from conftest import simple_sieve
 from reference_lists import NON_RANKS_TO_19, TWIN_INDICES_TO_108, TWIN_RANKS_TO_18
 
 REF_FLAGS = simple_sieve(200_000)
+classify_module = importlib.import_module("twinsieve.classify")  # the package re-exports the function under this name
 PRIMES_5_200 = [p for p, ok in enumerate(REF_FLAGS) if ok and 5 <= p <= 200]
 
 
@@ -148,6 +151,23 @@ class TestNonRanksOf:
     def test_domain(self):
         with pytest.raises(DomainError):
             nonranks_of(4, 100)
+
+    def test_guard_refuses_before_generating(self, monkeypatch):
+        def generated(*args):
+            raise AssertionError("a term was generated above the guard")
+
+        monkeypatch.setattr(classify_module, "NonRankTerm", generated)
+        with pytest.raises(CapacityError, match="399999999999999999 non-ranks of 5 up to 10{18} exceed 1000000"):
+            nonranks_of(5, 10**18)
+
+    @pytest.mark.parametrize("p, limit", [(5, 21), (7, 15), (7, 16), (11, 8), (13, 400), (101, 5000)])
+    def test_guard_counts_the_terms_exactly(self, monkeypatch, p, limit):
+        size = len(nonranks_of(p, limit))
+        monkeypatch.setattr(classify_module, "NONRANKS_GUARD", size)
+        assert len(nonranks_of(p, limit)) == size
+        monkeypatch.setattr(classify_module, "NONRANKS_GUARD", size - 1)
+        with pytest.raises(CapacityError):
+            nonranks_of(p, limit)
 
     def test_term_structure(self):
         for p in (5, 7, 11, 13):

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -209,9 +211,10 @@ class TestErrorsAndOutput:
         assert [p.name for p in tmp_path.iterdir()] == ["env.json"]
 
     def test_out_into_missing_directory_exits_1(self, tmp_path, capsys):
-        code, out, err = run_cli(capsys, "--out", str(tmp_path / "missing" / "env.json"), "classify", "5")
+        target = tmp_path / "missing" / "env.json"
+        code, out, err = run_cli(capsys, "--out", str(target), "classify", "5")
         assert code == 1 and out == ""
-        assert err.startswith("twinsieve classify: [Errno 2] ") and err.count("\n") == 1
+        assert err == f"twinsieve classify: [Errno 2] No such file or directory: {str(target)!r}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_cache_dir_that_is_a_file_exits_1(self, tmp_path, capsys):
@@ -243,6 +246,15 @@ class TestErrorsAndOutput:
         code, out, err = run_cli(capsys, "remnants", "--level", "61", "--bound", "10000001")
         assert (code, out) == (1, "")
         assert err == "twinsieve remnants: remnants bound 10000001 exceeds 10000000\n"
+
+    def test_nonranks_above_guard_exits_1(self, capsys, monkeypatch):
+        def generated(*args):
+            raise AssertionError("a term was generated above the guard")
+
+        monkeypatch.setattr(importlib.import_module("twinsieve.classify"), "NonRankTerm", generated)
+        code, out, err = run_cli(capsys, "nonranks", "--prime", "5", "--limit", "1000000000000")
+        assert (code, out) == (1, "")
+        assert err == "twinsieve nonranks: 399999999999 non-ranks of 5 up to 1000000000000 exceed 1000000\n"
 
     def test_out_of_memory_exits_1(self, capsys, monkeypatch):
         def exhausted(level):
@@ -283,3 +295,23 @@ class TestErrorsAndOutput:
         assert head == "# level=7 modulus=35"
         second = run_json(capsys, "--cache-dir", cache, "constants", "--level", "7")
         assert first["results"] == second["results"]
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+GOLDEN_COMMANDS = [
+    ["mainterm --level 13"],
+    ["mainterm --level 17"],
+    ["legendre --level 19"],
+    ["legendre --level 17 --workers 2"],
+    ["constants --level 19 --cache-dir {cache}"] * 2,  # cold, then warm from the cache
+    ["remnants --level 61 --bound 300000 --emit csv"],
+]
+
+
+@pytest.mark.parametrize("commands", GOLDEN_COMMANDS, ids=[c[0] for c in GOLDEN_COMMANDS])
+def test_stdout_matches_benchmark_digest(tmp_path, capsys, commands):
+    for command in commands:
+        argv = command.replace("{cache}", str(tmp_path / "cache")).split()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command], command

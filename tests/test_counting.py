@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twinsieve.arith import primes_between, primorial_from_5
+from twinsieve.arith import next_prime, primes_between, primorial_from_5
 from twinsieve.counting import (
     asymptote_coefficient,
     asymptotic_density,
@@ -12,7 +12,6 @@ from twinsieve.counting import (
     legendre_pi2,
     m_bound,
     main_term,
-    supergroup_size,
     twin_prime_constant,
 )
 from twinsieve.errors import DomainError
@@ -124,8 +123,16 @@ class TestCountsRow:
             assert b.x_frac < a.x_frac
             assert b.q < a.q
 
+    def test_level_members_to_30th_prime(self):
+        for p in LEVELS_TO_113:
+            row = counts_row(p)
+            assert row.primes == primes_between(4, p)
+            assert row.p_next == next_prime(p)
+            assert row.M == m_bound(next_prime(p))
+            assert row.x == row.L - row.M
+
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="sieve level must be a prime >= 5, got 4"):
             counts_row(4)
         with pytest.raises(DomainError):
             counts_row(3)
@@ -134,13 +141,13 @@ class TestCountsRow:
 class TestSupergroupSize:
     @pytest.mark.parametrize("p,expect", [(5, 2), (7, 20), (11, 250)])
     def test_examples(self, p, expect):
-        assert supergroup_size(p) == expect
+        assert counts_row(p).S == expect
 
     def test_product_form(self):
         for p in LEVELS_TO_113:
             L = primorial_from_5(p)
             prod = math.prod([Fraction(q - 2, q) for q in primes_between(4, p)], start=Fraction(1))
-            assert supergroup_size(p) == L * (1 - prod)
+            assert counts_row(p).S == L * (1 - prod)
 
 
 class TestMBound:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from twinsieve.arith import next_prime, nsix, primes_between
 from twinsieve.classify import classify
-from twinsieve.counting import m_bound
+from twinsieve.counting import counts_row, m_bound
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import _twin_truth
 from twinsieve.progressions import (
@@ -20,7 +20,6 @@ from twinsieve.progressions import (
     nested_form,
     remnants_below,
     residue_set,
-    residue_set_size,
 )
 
 from reference_lists import (
@@ -103,8 +102,8 @@ class TestResidueSet:
 
     def test_cardinality_is_product(self):
         for p in (5, 7, 11, 13, 17):
-            assert len(residue_set(p)) == residue_set_size(p)
-            assert residue_set_size(p) == math.prod(q - 2 for q in primes_between(4, p))
+            assert len(residue_set(p)) == counts_row(p).R
+            assert counts_row(p).R == math.prod(q - 2 for q in primes_between(4, p))
 
     def test_matches_brute_force(self):
         for p in (5, 7, 11, 13):
@@ -183,7 +182,7 @@ class TestBoundaryValues:
         # Intruder property: a constant below (p_next^2 - 1)/6 is a twin rank;
         # any non-rank constant has a parent above the sieve level.
         from twinsieve.arith import next_prime
-        from twinsieve.counting import m_bound
+        from twinsieve.counting import counts_row, m_bound
 
         for p in (5, 7, 11, 13):
             front = m_bound(next_prime(p))
