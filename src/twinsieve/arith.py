@@ -131,14 +131,18 @@ def shared_table(limit: int) -> PrimeTable:
 
 
 # Plain list mirror of small primes; python-level iteration with early break is
-# faster than iterating a numpy array in trial-division loops.
+# faster than iterating a numpy array in trial-division loops.  It is keyed to
+# the limit of the table it came from, not to its last prime.
 _trial_cache: list[int] = []
+_trial_limit = 0
 
 
 def _trial_primes(up_to: int) -> list[int]:
-    global _trial_cache
-    if not _trial_cache or _trial_cache[-1] < up_to:
-        _trial_cache = shared_table(max(up_to, 1 << 10)).primes.tolist()
+    global _trial_cache, _trial_limit
+    if _trial_limit < up_to:
+        _trial_cache = []  # free the old list before the new one is built
+        table = shared_table(up_to)
+        _trial_cache, _trial_limit = table.primes.tolist(), table.limit
     return _trial_cache
 
 

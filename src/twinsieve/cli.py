@@ -184,7 +184,7 @@ def _cmd_remnants(args):
 
 
 def _cmd_family(args):
-    fam = crt_family(_parse_primes(args.primes), workers=args.workers)
+    fam = crt_family(_parse_primes(args.primes))
     header = ["signs", "residue"]
     if args.nested is not None:
         if args.nested not in fam.primes:

@@ -14,11 +14,17 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import SquarefreeTerm, is_prime, next_prime, primes_between, squarefree_terms
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .oracle import DEFAULT_CEILING, pi2_exact, prime_values_segmented
 from .parallel import parallel_map
 
 EULER_GAMMA = 0.5772156649015329
+# Largest x = L - M for which the squarefree terms are generated.  On a 2-vCPU
+# host, legendre --level 23 (x = 37,182,005) peaks at 1,169 MB in 29 s; the next
+# level's x, 1,078,282,045, is 29 times larger.  main_term also sums one exact
+# Fraction per term: mainterm --level 19 (x = 1,616,527) takes 375 s.
+LEGENDRE_GUARD = 4 * 10**7
+MAINTERM_GUARD = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -138,6 +144,8 @@ def legendre_pi2(
     if p_j < 7:
         raise DomainError(f"legendre_pi2 needs a level >= 7, got {p_j}")
     x = row.x
+    if x > LEGENDRE_GUARD:
+        raise CapacityError(f"x = {x} at level {p_j} exceeds {LEGENDRE_GUARD}")
     ie_sum = _ie_floor_sum(_ie_terms(p_j, x), x, workers)
     estimate = row.R + ie_sum
 
@@ -181,6 +189,8 @@ def main_term(p_j: int, *, workers: int = 1) -> MainTermReport:
     if p_j < 7:
         raise DomainError(f"main_term needs a level >= 7, got {p_j}")
     R0, x = row.R, row.x
+    if x > MAINTERM_GUARD:
+        raise CapacityError(f"x = {x} at level {p_j} exceeds {MAINTERM_GUARD}")
     terms = _ie_terms(p_j, x)
     rm_sum = Fraction(R0) + sum(
         (Fraction(t.mu * (1 << t.nu) * x, t.n) for t in terms), Fraction(0)

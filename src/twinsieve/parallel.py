@@ -1,4 +1,4 @@
-"""The one process-pool map behind verify_classify, crt_family and the Legendre floor sum."""
+"""The one process-pool map behind verify_classify and the Legendre floor sum."""
 
 from __future__ import annotations
 

@@ -11,7 +11,6 @@ counting identities are about.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,7 +21,6 @@ from .arith import is_prime, nsix, primes_between
 from .classify import classify
 from .counting import counts_row
 from .errors import CapacityError, DomainError
-from .parallel import parallel_map
 
 MATERIALIZE_GUARD = 10**8
 REMNANTS_GUARD = 10**7
@@ -174,31 +172,15 @@ class ProgressionFamily:
     members: tuple[FamilyMember, ...]
 
 
-def _crt_residue(primes: Sequence[int], offsets: Sequence[int], signs: Sequence[int]) -> int:
-    x, mod = 0, 1
-    for q, off, s in zip(primes, offsets, signs):
-        r = (s * off) % q
-        t = ((r - x) * pow(mod, -1, q)) % q
-        x += mod * t
-        mod *= q
-    return x
-
-
-def _family_chunk(args: tuple[tuple[int, ...], tuple[int, ...], list[int], int]) -> list[tuple[int, int]]:
-    primes, offsets, masks, m = args
-    out = []
-    for mask in masks:
-        signs = [1 if mask & (1 << (m - 1 - i)) == 0 else -1 for i in range(m)]
-        out.append((mask, _crt_residue(primes, offsets, signs)))
-    return out
-
-
-def crt_family(primes: Sequence[int], *, workers: int = 1) -> ProgressionFamily:
+def crt_family(primes: Sequence[int]) -> ProgressionFamily:
     """Simultaneous congruences residue = +-N(p/6) (mod p) for every sign vector.
 
     Each of the 2^m sign vectors has a unique residue mod prod(primes); every
     positive member of such a class, past the n = 0 offsets, is a non-rank of
-    every prime in the list.  Members come back sorted by residue.
+    every prime in the list.  In Gauss's form of the CRT the residue is
+    sum s_i * N(p_i/6) * e_i (mod P), e_i the idempotent of p_i, so the family
+    is every signed sum of m fixed components.  Members come back sorted by
+    residue.
     """
     ps = sorted(primes)
     m = len(ps)
@@ -209,17 +191,16 @@ def crt_family(primes: Sequence[int], *, workers: int = 1) -> ProgressionFamily:
     for q in ps:
         if q < 5 or not is_prime(q):
             raise DomainError(f"{q} is not a prime >= 5")
-    offsets = tuple(nsix(q) for q in ps)
-    pt = tuple(ps)
-    all_masks = list(range(1 << m))
-    n_chunks = max(workers, 1)
-    chunks = [(pt, offsets, all_masks[i::n_chunks], m) for i in range(n_chunks)]
-    members = []
-    for mask, residue in itertools.chain.from_iterable(parallel_map(_family_chunk, chunks, workers)):
-        signs = tuple("-" if mask & (1 << (m - 1 - i)) else "+" for i in range(m))
-        members.append(FamilyMember(signs=signs, residue=residue))
-    members.sort(key=lambda fm: fm.residue)
-    return ProgressionFamily(primes=pt, modulus=math.prod(ps), members=tuple(members))
+    modulus = math.prod(ps)
+    signs: list[tuple[str, ...]] = [()]
+    sums = [0]
+    for q in ps:  # each prime doubles both lists, + before -
+        rest = modulus // q
+        c = nsix(q) * rest * pow(rest, -1, q)  # N(q/6) * e_q
+        signs = [sg + (s,) for sg in signs for s in "+-"]
+        sums = [r + v for r in sums for v in (c, -c)]
+    members = sorted(map(FamilyMember, signs, (r % modulus for r in sums)), key=lambda fm: fm.residue)
+    return ProgressionFamily(primes=tuple(ps), modulus=modulus, members=tuple(members))
 
 
 @dataclass(frozen=True)

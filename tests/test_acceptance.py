@@ -7,6 +7,7 @@ committed files; on a mismatch the rebuilt table is left in tmp_path.
 """
 
 import csv
+import json
 import math
 import time
 from fractions import Fraction
@@ -17,6 +18,7 @@ import pytest
 
 from twinsieve.arith import nsix, primes_between, primorial_from_5
 from twinsieve.classify import classify, twin_index
+from twinsieve.cli import main
 from twinsieve.counting import (
     asymptote_coefficient,
     asymptotic_density,
@@ -235,7 +237,7 @@ def test_criterion_8_main_terms_and_density_table(tmp_path):
     )
 
 
-def test_criterion_9_determinism_under_parallelism(verify_one_worker):
+def test_criterion_9_determinism_under_parallelism(verify_one_worker, capsys):
     base = verify_one_worker
     for workers in (4, 16):
         rep = verify_classify(VERIFY_LIMIT, workers=workers)
@@ -243,9 +245,16 @@ def test_criterion_9_determinism_under_parallelism(verify_one_worker):
         assert rep.twin_ranks == base.twin_ranks
         assert rep.non_ranks == base.non_ranks
 
-    fam_base = crt_family([5, 7, 11, 13])
-    for workers in (4, 16):
-        assert crt_family([5, 7, 11, 13], workers=workers).members == fam_base.members
+    # The JSON envelope echoes --workers in its parameters, so the byte-for-byte
+    # comparison is on the CSV table; the JSON results must agree as well.
+    family = {}
+    for workers in ("1", "4", "16"):
+        for emit in ("csv", "json"):
+            assert main(["--workers", workers, "--emit", emit, "family", "--primes", "5,7,11,13"]) == 0
+            family[workers, emit] = capsys.readouterr().out
+    for workers in ("4", "16"):
+        assert family[workers, "csv"] == family["1", "csv"]
+        assert json.loads(family[workers, "json"])["results"] == json.loads(family["1", "json"])["results"]
 
     for level in (7, 11, 13):
         lone = legendre_pi2(level)

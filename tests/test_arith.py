@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import twinsieve.arith as arith
 from twinsieve.arith import (
     PrimeTable,
     is_prime,
@@ -195,6 +196,15 @@ class TestSmallestPrimeFactor:
     def test_domain(self, n):
         with pytest.raises(DomainError):
             smallest_prime_factor(n)
+
+    def test_trial_list_is_built_once_per_bound(self, monkeypatch):
+        # 100_000 is not prime: the list's last prime is below it, the table's limit is not.
+        monkeypatch.setattr(arith, "_shared", None)
+        monkeypatch.setattr(arith, "_trial_cache", [])
+        monkeypatch.setattr(arith, "_trial_limit", 0, raising=False)
+        first = arith._trial_primes(100_000)
+        assert arith._trial_primes(100_000) is first
+        assert first[-1] < 100_000 and first == arith.shared_table(100_000).primes.tolist()
 
     def test_result_is_prime_divisor_and_minimal(self):
         for n in range(2, 3000):

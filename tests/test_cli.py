@@ -256,6 +256,19 @@ class TestErrorsAndOutput:
         assert (code, out) == (1, "")
         assert err == "twinsieve nonranks: 399999999999 non-ranks of 5 up to 1000000000000 exceed 1000000\n"
 
+    @pytest.mark.parametrize(
+        "command,level,x,guard",
+        [("legendre", "29", 1078282045, "40000000"), ("mainterm", "23", 37182005, "2000000")],
+    )
+    def test_level_above_size_guard_exits_1(self, capsys, monkeypatch, command, level, x, guard):
+        def generated(p_j, x):
+            raise AssertionError("squarefree terms were generated above the guard")
+
+        monkeypatch.setattr(importlib.import_module("twinsieve.counting"), "_ie_terms", generated)
+        code, out, err = run_cli(capsys, command, "--level", level)
+        assert (code, out) == (1, "")
+        assert err == f"twinsieve {command}: x = {x} at level {level} exceeds {guard}\n"
+
     def test_out_of_memory_exits_1(self, capsys, monkeypatch):
         def exhausted(level):
             raise MemoryError
@@ -305,6 +318,7 @@ GOLDEN_COMMANDS = [
     ["legendre --level 17 --workers 2"],
     ["constants --level 19 --cache-dir {cache}"] * 2,  # cold, then warm from the cache
     ["remnants --level 61 --bound 300000 --emit csv"],
+    ["family --primes 5,7,11,13,17,19,23,29,31,37,41,43,47,53 --nested 53"],
 ]
 
 

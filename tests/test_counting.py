@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import twinsieve.counting as counting
 from twinsieve.arith import next_prime, primes_between, primorial_from_5
 from twinsieve.counting import (
+    LEGENDRE_GUARD,
+    MAINTERM_GUARD,
     asymptote_coefficient,
     asymptotic_density,
     counts_row,
@@ -14,7 +17,7 @@ from twinsieve.counting import (
     main_term,
     twin_prime_constant,
 )
-from twinsieve.errors import DomainError
+from twinsieve.errors import CapacityError, DomainError
 from twinsieve.progressions import residue_set
 
 LEVELS_TO_113 = primes_between(4, 113)  # through the 30th prime
@@ -235,6 +238,34 @@ class TestMainTerm:
         rep = main_term(7)
         assert rep.R_M_product != rep.R_M_sum
         assert rep.R_M_product - rep.R_M_sum == Fraction(215, 13) - Fraction(1425, 143)
+
+
+class TestSizeGuards:
+    """legendre_pi2 and main_term refuse a level whose x = L - M is above their bound before any term is generated."""
+
+    class Generated(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_terms(self, monkeypatch):
+        def generated(p_j, x):
+            raise self.Generated(p_j)
+
+        monkeypatch.setattr(counting, "_ie_terms", generated)
+
+    def test_legendre_refuses_level_29_and_passes_level_23(self):
+        assert counts_row(23).x <= LEGENDRE_GUARD < counts_row(29).x
+        with pytest.raises(CapacityError, match=f"x = 1078282045 at level 29 exceeds {LEGENDRE_GUARD}"):
+            legendre_pi2(29)
+        with pytest.raises(self.Generated):
+            legendre_pi2(23)
+
+    def test_main_term_refuses_level_23_and_passes_level_19(self):
+        assert counts_row(19).x <= MAINTERM_GUARD < counts_row(23).x
+        with pytest.raises(CapacityError, match=f"x = 37182005 at level 23 exceeds {MAINTERM_GUARD}"):
+            main_term(23)
+        with pytest.raises(self.Generated):
+            main_term(19)
 
 
 class TestConstants:

@@ -1,4 +1,6 @@
+import bisect
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +14,8 @@ from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import _twin_truth
 from twinsieve.progressions import (
     REMNANTS_GUARD,
+    SIGN_VALUE,
+    FamilyMember,
     _least_parent,
     boundary_twin_ranks,
     crt_family,
@@ -56,6 +60,29 @@ def slow_remnants(p: int, bound: int):
     intruders = tuple((v, c.parent) for v in remnants if v >= front_bound and not (c := classify(v)).is_twin_rank)
     front = tuple(v for v in remnants if v < front_bound)
     return front_bound, tuple(remnants), front, intruders
+
+
+def _crt_residue(primes, offsets, signs) -> int:
+    """One m-step CRT for one sign vector: the per-member path crt_family had before its closed form."""
+    x, mod = 0, 1
+    for q, off, s in zip(primes, offsets, signs):
+        r = (s * off) % q
+        t = ((r - x) * pow(mod, -1, q)) % q
+        x += mod * t
+        mod *= q
+    return x
+
+
+def slow_family_members(primes) -> tuple[FamilyMember, ...]:
+    """Every sign vector's residue by its own CRT, the first prime's sign most significant, sorted by residue."""
+    ps = sorted(primes)
+    m = len(ps)
+    offsets = [nsix(q) for q in ps]
+    members = []
+    for mask in range(1 << m):
+        signs = tuple("-" if mask & (1 << (m - 1 - i)) else "+" for i in range(m))
+        members.append(FamilyMember(signs, _crt_residue(ps, offsets, [SIGN_VALUE[s] for s in signs])))
+    return tuple(sorted(members, key=lambda fm: fm.residue))
 
 
 class TestLeastParent:
@@ -333,10 +360,24 @@ class TestCrtFamily:
         with pytest.raises(DomainError):
             crt_family([3, 5])
 
-    def test_workers_do_not_change_result(self):
-        lone = crt_family([5, 7, 11, 13])
-        pooled = crt_family([5, 7, 11, 13], workers=3)
-        assert lone.members == pooled.members
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(primes_between(4, 97)), min_size=1, max_size=10, unique=True))
+    def test_closed_form_equals_per_member_crt(self, primes):
+        assert crt_family(primes).members == slow_family_members(primes)
+
+    def test_twenty_primes_against_per_member_crt(self):
+        ps = primes_between(4, 79)
+        fam = crt_family(ps)
+        assert len(ps) == 20 and len(fam.members) == 1 << 20
+        residues = [fm.residue for fm in fam.members]
+        assert all(a < b for a, b in zip(residues, residues[1:]))
+        offsets = [nsix(q) for q in ps]
+        rng = random.Random(20)
+        for _ in range(1000):
+            signs = tuple(rng.choice("+-") for _ in ps)
+            residue = _crt_residue(ps, offsets, [SIGN_VALUE[s] for s in signs])
+            i = bisect.bisect_left(residues, residue)
+            assert fam.members[i] == FamilyMember(signs, residue)
 
 
 class TestNestedForm:
