@@ -1,4 +1,4 @@
-"""Exact integer primitives: primality, prime tables, primorials, squarefree terms.
+"""Exact integer primitives: primality, factoring, prime tables, primorials, squarefree terms.
 
 Everything here is exact: primality below 2**64 is deterministic, primorials
 are arbitrary-precision, and the nearest-integer function works on rationals
@@ -7,6 +7,7 @@ so the half-integer ambiguity is detectable instead of silently rounded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,22 +131,6 @@ def shared_table(limit: int) -> PrimeTable:
     return _shared
 
 
-# Plain list mirror of small primes; python-level iteration with early break is
-# faster than iterating a numpy array in trial-division loops.  It is keyed to
-# the limit of the table it came from, not to its last prime.
-_trial_cache: list[int] = []
-_trial_limit = 0
-
-
-def _trial_primes(up_to: int) -> list[int]:
-    global _trial_cache, _trial_limit
-    if _trial_limit < up_to:
-        _trial_cache = []  # free the old list before the new one is built
-        table = shared_table(up_to)
-        _trial_cache, _trial_limit = table.primes.tolist(), table.limit
-    return _trial_cache
-
-
 def primes_between(lo: int, hi: int) -> list[int]:
     """All primes p with lo < p <= hi, ascending; empty if the range holds none."""
     if hi < 2 or hi <= lo:
@@ -189,17 +174,76 @@ def primorial_from_5(p: int) -> int:
     return math.prod(primes_between(4, p))
 
 
+# Trial division covers the primes below this bound; larger factors come from
+# Brent's rho, so no prime table ever grows past it on behalf of factoring.
+TRIAL_BOUND = 1 << 16
+_RHO_BATCH = 128  # rho steps per batched gcd
+
+
+@functools.cache
+def _small_primes() -> tuple[int, ...]:
+    # A tuple: python-level iteration with early break beats a numpy array here.
+    return tuple(shared_table(TRIAL_BOUND).between(1, TRIAL_BOUND))
+
+
 def smallest_prime_factor(n: int) -> int:
-    """Least prime dividing n >= 2 (returns n itself when n is prime)."""
+    """Least prime dividing n >= 2 (returns n itself when n is prime).
+
+    Trial division by the primes below TRIAL_BOUND, then Miller-Rabin, then
+    Brent's rho on what is left, so memory stays constant for every n < 2**64.
+    Raises CapacityError for n >= 2**64 without a prime factor below the bound.
+    """
     if n < 2:
         raise DomainError(f"smallest_prime_factor needs n >= 2, got {n}")
     root = math.isqrt(n)
-    for p in _trial_primes(root):
+    for p in _small_primes():
         if p > root:
-            break
+            return n
         if n % p == 0:
             return p
-    return n
+    return _least_prime(n)
+
+
+def _least_prime(n: int) -> int:
+    """Least prime factor of n > 1 whose prime factors all exceed TRIAL_BOUND."""
+    if is_prime(n):
+        return n
+    root = math.isqrt(n)
+    if root * root == n:
+        return _least_prime(root)
+    c = 1
+    while (d := _brent_rho(n, c)) == n:
+        c += 1
+    return min(_least_prime(d), _least_prime(n // d))
+
+
+def _brent_rho(n: int, c: int) -> int:
+    """Brent's cycle-finding rho on y -> y^2 + c (mod n) from y = 2.
+
+    Returns a divisor of n greater than 1; n itself means this c failed.
+    Products of |x - y| are accumulated and one gcd is taken per batch; when
+    a batch's gcd is n, its steps are replayed one gcd at a time.
+    """
+    y, r, q, g = 2, 1, 1, 1
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(_RHO_BATCH, r - k)):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            g = math.gcd(q, n)
+            k += _RHO_BATCH
+        r *= 2
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(abs(x - ys), n)
+    return g
 
 
 @dataclass(frozen=True)

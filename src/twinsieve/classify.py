@@ -4,6 +4,11 @@ A positive integer m is a twin rank when 6m-1 and 6m+1 are both prime, and a
 non-rank otherwise.  Every non-rank can be written n*p +- N(p/6) for a prime
 p >= 5 and n >= 0; classification recovers the least such parent prime from
 the factorization of the composite side(s).
+
+The parent is the least of the composite sides' least prime factors.  Each
+comes from arith.smallest_prime_factor: trial division by the primes below
+2**16, then deterministic Miller-Rabin, then Brent's rho on what is left, so
+classification runs in constant memory for every m with 6m + 1 < 2**64.
 """
 
 from __future__ import annotations

@@ -1,8 +1,20 @@
-"""Frozen reference lists used across the test suite.
+"""Frozen reference lists used across the test suite, and slow reference functions.
 
 All values were verified against independent brute-force computation before
 being frozen here (see the adjacent tests, which re-derive each list).
 """
+
+
+def slow_smallest_prime_factor(n: int) -> int:
+    """Least prime factor of n >= 2 by trial division over 2 and every odd d."""
+    if n % 2 == 0:
+        return 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 2
+    return n
 
 # Twin ranks m <= 18 (6m-1, 6m+1 both prime), their indices 6m, and the
 # complementary non-ranks up to 19.

@@ -1,8 +1,9 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import twinsieve.arith as arith
 from twinsieve.arith import (
@@ -16,12 +17,15 @@ from twinsieve.arith import (
     smallest_prime_factor,
     squarefree_terms,
 )
+from twinsieve.classify import classify
 from twinsieve.errors import CapacityError, DomainError
 
 from conftest import simple_sieve
+from reference_lists import slow_smallest_prime_factor
 
 REF_FLAGS = simple_sieve(100_000)
 REF_PRIMES = [p for p, ok in enumerate(REF_FLAGS) if ok]
+PRIMES_PAST_TRIAL = [p for p in REF_PRIMES if p > arith.TRIAL_BOUND]
 
 
 def reference_mobius(n: int) -> int:
@@ -187,6 +191,25 @@ class TestPrimorial:
         assert v % 89 == 0 and v % 5 == 0
 
 
+HARD_FACTORS = [
+    (4294967279, 4294967291),  # the two largest primes below 2^32
+    (4294967291, 4294967291),  # the largest prime below 2^32, squared
+    (2097143, 2097143, 2097143),  # the largest prime below 2^21, cubed
+    (1048583, 2097169, 4194301),  # three primes of 21, 22 and 22 bits
+    (65521, 140737488355213),  # the largest trial prime times a 47-bit prime
+    (65537, 140737488355213),  # the least prime past the trial bound, likewise
+]
+# Carmichael numbers 561, 41041, 825265 and two of Chernick's (6k+1)(12k+1)(18k+1),
+# at k = 10975 and at k = 238895, the largest below 2^64.
+CARMICHAEL_FACTORS = [
+    (3, 11, 17),
+    (7, 11, 13, 41),
+    (5, 7, 17, 19, 73),
+    (65851, 131701, 197551),
+    (1433371, 2866741, 4300111),
+]
+
+
 class TestSmallestPrimeFactor:
     @pytest.mark.parametrize("n,expect", [(209, 11), (169, 13), (7, 7), (2, 2), (35, 5), (10**12 + 39, 10**12 + 39)])
     def test_examples(self, n, expect):
@@ -197,14 +220,43 @@ class TestSmallestPrimeFactor:
         with pytest.raises(DomainError):
             smallest_prime_factor(n)
 
-    def test_trial_list_is_built_once_per_bound(self, monkeypatch):
-        # 100_000 is not prime: the list's last prime is below it, the table's limit is not.
+    def test_no_table_past_the_trial_bound(self, monkeypatch):
+        # Seed 1's 10^16 benchmark anchor and the top of classify's domain: both
+        # sides of each are composite, with square roots far above 2^16.
         monkeypatch.setattr(arith, "_shared", None)
-        monkeypatch.setattr(arith, "_trial_cache", [])
-        monkeypatch.setattr(arith, "_trial_limit", 0, raising=False)
-        first = arith._trial_primes(100_000)
-        assert arith._trial_primes(100_000) is first
-        assert first[-1] < 100_000 and first == arith.shared_table(100_000).primes.tolist()
+        for m in (9871324586500057, (2**64 - 2) // 6):
+            classify(m)
+        assert arith._shared is None or arith._shared.limit <= 1 << 16
+
+    @pytest.mark.parametrize("factors", HARD_FACTORS + CARMICHAEL_FACTORS, ids=lambda f: "*".join(map(str, f)))
+    def test_hard_inputs(self, factors):
+        n = math.prod(factors)
+        assert n < 1 << 64 and all(is_prime(f) for f in factors)
+        assert smallest_prime_factor(n) == min(factors)
+
+    @pytest.mark.parametrize("factors", CARMICHAEL_FACTORS, ids=lambda f: "*".join(map(str, f)))
+    def test_carmichael_inputs_pass_korselt(self, factors):
+        # Squarefree, and p - 1 divides n - 1 for every prime p dividing n.
+        n = math.prod(factors)
+        assert len(set(factors)) == len(factors)
+        assert all((n - 1) % (p - 1) == 0 for p in factors)
+
+    def test_past_the_primality_range(self):
+        assert smallest_prime_factor(1 << 64) == 2
+        assert smallest_prime_factor(65521 * 4294967311**2) == 65521
+        with pytest.raises(CapacityError):
+            smallest_prime_factor(4294967311**2)  # no factor below 2^16 and n >= 2^64
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(min_value=2, max_value=10**10 - 1),
+            # Semiprimes below 10^10 with both factors past the trial bound reach rho.
+            st.builds(operator.mul, st.sampled_from(PRIMES_PAST_TRIAL), st.sampled_from(PRIMES_PAST_TRIAL)),
+        )
+    )
+    def test_matches_slow_trial_division(self, n):
+        assert smallest_prime_factor(n) == slow_smallest_prime_factor(n)
 
     def test_result_is_prime_divisor_and_minimal(self):
         for n in range(2, 3000):

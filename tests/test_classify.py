@@ -1,4 +1,5 @@
 import importlib
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,8 @@ from conftest import simple_sieve
 from reference_lists import NON_RANKS_TO_19, TWIN_INDICES_TO_108, TWIN_RANKS_TO_18
 
 REF_FLAGS = simple_sieve(200_000)
+TOP_M = (2**64 - 2) // 6  # the largest m with 6m + 1 < 2**64
+BALANCED_PLUS_M = (4294967279 * 4294967291 - 1) // 6  # 6m + 1 is a product of two primes near 2^32
 classify_module = importlib.import_module("twinsieve.classify")  # the package re-exports the function under this name
 PRIMES_5_200 = [p for p, ok in enumerate(REF_FLAGS) if ok and 5 <= p <= 200]
 
@@ -61,6 +64,25 @@ class TestClassify:
     def test_refuses_beyond_deterministic_range(self):
         with pytest.raises(CapacityError):
             classify((1 << 64) // 6 + 1)
+
+    @pytest.mark.parametrize(
+        "m",
+        [TOP_M, TOP_M - 1, TOP_M - 2, TOP_M - 3, BALANCED_PLUS_M],
+        ids=["top", "top-1", "top-2", "top-3", "balanced-plus"],
+    )
+    def test_top_of_domain(self, m):
+        start = time.perf_counter()
+        c = classify(m)
+        assert time.perf_counter() - start < 1.0
+        sides = {SIDE_MINUS: 6 * m - 1, SIDE_PLUS: 6 * m + 1}
+        assert c.composite_sides == tuple(s for s, v in sides.items() if not is_prime(v))
+        assert c.verdict == NON_RANK and c.composite_sides
+        s = 1 if c.witness_sign == "+" else -1
+        assert c.witness_kappa * c.parent + s * nsix(c.parent) == m
+        assert c.parent >= 5 and is_prime(c.parent)
+        assert any(sides[side] % c.parent == 0 for side in c.composite_sides)
+        for q in range(2, c.parent):
+            assert all(sides[side] % q for side in c.composite_sides), q
 
     def test_witness_reconstructs_value(self):
         for m in range(1, 3000):

@@ -58,6 +58,10 @@ class TestEnvelope:
 
 
 class TestCommands:
+    def test_classify_top_of_domain(self, capsys):
+        env = run_json(capsys, "classify", "3074457345618258602")
+        assert env["results"]["parent"] == "11"
+
     def test_twins(self, capsys):
         env = run_json(capsys, "twins", "--limit", "18")
         assert env["results"]["ranks"] == ["1", "2", "3", "5", "7", "10", "12", "17", "18"]
