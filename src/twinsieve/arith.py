@@ -195,26 +195,36 @@ def smallest_prime_factor(n: int) -> int:
     """
     if n < 2:
         raise DomainError(f"smallest_prime_factor needs n >= 2, got {n}")
+    return trial_factor(n) or rough_least_prime(n)
+
+
+def trial_factor(n: int, below: int = TRIAL_BOUND) -> int:
+    """Least prime p < min(below, TRIAL_BOUND) dividing n >= 2, or 0 when none does.
+
+    Returns n itself once p passes isqrt(n) with no divisor found: n is prime.
+    """
     root = math.isqrt(n)
     for p in _small_primes():
+        if p >= below:
+            return 0
         if p > root:
             return n
         if n % p == 0:
             return p
-    return _least_prime(n)
+    return 0
 
 
-def _least_prime(n: int) -> int:
-    """Least prime factor of n > 1 whose prime factors all exceed TRIAL_BOUND."""
+def rough_least_prime(n: int) -> int:
+    """Least prime factor of n > 1 whose prime factors all exceed TRIAL_BOUND: Miller-Rabin, then rho."""
     if is_prime(n):
         return n
     root = math.isqrt(n)
     if root * root == n:
-        return _least_prime(root)
+        return rough_least_prime(root)
     c = 1
     while (d := _brent_rho(n, c)) == n:
         c += 1
-    return min(_least_prime(d), _least_prime(n // d))
+    return min(rough_least_prime(d), rough_least_prime(n // d))
 
 
 def _brent_rho(n: int, c: int) -> int:

@@ -9,13 +9,23 @@ The parent is the least of the composite sides' least prime factors.  Each
 comes from arith.smallest_prime_factor: trial division by the primes below
 2**16, then deterministic Miller-Rabin, then Brent's rho on what is left, so
 classification runs in constant memory for every m with 6m + 1 < 2**64.
+When both sides are composite, a trial factor a of 6m-1 leaves 6m+1 to trial
+division below a, and rho runs only when neither side has a factor below 2**16.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import PRIMALITY_LIMIT, is_prime, nsix, smallest_prime_factor
+from .arith import (
+    PRIMALITY_LIMIT,
+    TRIAL_BOUND,
+    is_prime,
+    nsix,
+    rough_least_prime,
+    smallest_prime_factor,
+    trial_factor,
+)
 from .errors import CapacityError, DomainError
 
 TWIN_RANK = "twin_rank"
@@ -97,13 +107,15 @@ def classify(m: int) -> Classification:
     if minus_prime and plus_prime:
         return Classification(m, TWIN_RANK)
 
-    sides: list[tuple[int, str]] = []
-    if not minus_prime:
-        sides.append((smallest_prime_factor(minus), SIDE_MINUS))
-    if not plus_prime:
-        sides.append((smallest_prime_factor(plus), SIDE_PLUS))
-    parent = min(spf for spf, _ in sides)
-    composite_sides = tuple(side for _, side in sides)  # already (minus, plus) order
+    if minus_prime or plus_prime:
+        parent = smallest_prime_factor(plus if minus_prime else minus)
+        composite_sides = (SIDE_PLUS,) if minus_prime else (SIDE_MINUS,)
+    else:
+        composite_sides = (SIDE_MINUS, SIDE_PLUS)
+        a = trial_factor(minus)  # composite, so never minus itself
+        parent = trial_factor(plus, a or TRIAL_BOUND) or a
+        if not parent:
+            parent = min(rough_least_prime(minus), rough_least_prime(plus))
 
     off = nsix(parent)
     if m % parent == off % parent:

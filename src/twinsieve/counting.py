@@ -15,7 +15,7 @@ import numpy as np
 
 from .arith import SquarefreeTerm, is_prime, next_prime, primes_between, squarefree_terms
 from .errors import CapacityError, DomainError
-from .oracle import DEFAULT_CEILING, pi2_exact, prime_values_segmented
+from .oracle import DEFAULT_CEILING, pi2_exact
 from .parallel import parallel_map
 
 EULER_GAMMA = 0.5772156649015329
@@ -229,10 +229,55 @@ def twin_prime_constant(tolerance: float = 1e-6) -> float:
     return _c2_partial(cutoff)
 
 
+# The c2 product's prime stream: blocks of C2_SPAN numbers from 3 up, one flag
+# per odd number, each block filled from a copy of the odd multiples of the
+# wheel primes, which repeat every WHEEL_PERIOD odd numbers.
+C2_SPAN = 1 << 22
+WHEEL = (3, 5, 7, 11, 13, 17)
+WHEEL_PERIOD = math.prod(WHEEL)
+
+
+@lru_cache(maxsize=1)
+def _wheel_pattern() -> np.ndarray:
+    """Flags of the odd multiples of WHEEL, index j for 2j+1, over one period plus a block."""
+    pattern = np.zeros(WHEEL_PERIOD + C2_SPAN // 2, dtype=bool)
+    for q in WHEEL:
+        pattern[(q - 1) // 2 :: q] = True
+    return pattern
+
+
+def _odd_prime_blocks(cutoff: int):
+    """Yield int64 arrays of the primes in [lo, hi), for lo = 3 + k*C2_SPAN and hi <= cutoff + 1.
+
+    Flag j of the stream stands for the odd number 2j+1, and flag i of a block
+    for lo + 2i.  The odd multiples of a prime p are the j = (p-1)/2 (mod p), so
+    each base prime strikes every p-th flag from the first such j in the block
+    that is at least p*p.
+    """
+    pattern = _wheel_pattern()
+    base = np.array(primes_between(WHEEL[-1], math.isqrt(cutoff)), dtype=np.int64)
+    half, square = (base - 1) // 2, (base * base - 1) // 2
+    for lo in range(3, cutoff + 1, C2_SPAN):
+        hi = min(lo + C2_SPAN, cutoff + 1)
+        j0 = (lo - 1) // 2
+        comp = pattern[j0 % WHEEL_PERIOD :][: (hi - lo + 1) // 2].copy()
+        if lo == 3:
+            comp[[(q - 3) // 2 for q in WHEEL if q < hi]] = False
+        k = int(np.searchsorted(base, math.isqrt(hi - 1), side="right"))
+        offsets = np.maximum(square[:k] - j0, (half[:k] - j0) % base[:k])
+        for off, p in zip(offsets.tolist(), base[:k].tolist()):
+            comp[off::p] = True
+        yield 2 * np.flatnonzero(~comp) + lo
+
+
 @lru_cache(maxsize=8)
 def _c2_partial(cutoff: int) -> float:
+    # The float sum is pinned: one numpy pairwise sum per block of primes in
+    # [3 + k*C2_SPAN, 3 + (k+1)*C2_SPAN), added in order.  Other block edges or
+    # a single array would round differently and change c2 in its last bits,
+    # and with it every mainterm asymptote and reports/density_ratios.csv.
     log_sum = 0.0
-    for block in prime_values_segmented(cutoff, lo=2):
+    for block in _odd_prime_blocks(cutoff):
         ps = block.astype(np.float64)
         log_sum += float(np.log1p(-1.0 / ((ps - 1.0) ** 2)).sum())
     return math.exp(log_sum)

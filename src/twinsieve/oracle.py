@@ -172,10 +172,3 @@ def verify_classify(
         ranks_per_s=limit / elapsed if elapsed > 0 else float("inf"),
     )
 
-
-def prime_values_segmented(hi: int, *, lo: int = 2, span: int = 1 << 22):
-    """Yield numpy arrays of the primes in (lo, hi], in ascending blocks."""
-    start = max(lo + 1, 2)
-    for seg_lo in range(start, hi + 1, span):
-        seg = sieve_segment(seg_lo, min(seg_lo + span, hi + 1))
-        yield np.flatnonzero(~seg.composite) + seg.lo

@@ -4,6 +4,22 @@ All values were verified against independent brute-force computation before
 being frozen here (see the adjacent tests, which re-derive each list).
 """
 
+import math
+
+import numpy as np
+
+from twinsieve.arith import is_prime, nsix, smallest_prime_factor
+from twinsieve.classify import (
+    NON_RANK,
+    SIDE_MINUS,
+    SIDE_PLUS,
+    SIGN_MINUS,
+    SIGN_PLUS,
+    TWIN_RANK,
+    Classification,
+)
+from twinsieve.oracle import sieve_segment
+
 
 def slow_smallest_prime_factor(n: int) -> int:
     """Least prime factor of n >= 2 by trial division over 2 and every odd d."""
@@ -15,6 +31,44 @@ def slow_smallest_prime_factor(n: int) -> int:
             return d
         d += 2
     return n
+
+
+def slow_prime_blocks(hi: int):
+    """The primes in (2, hi] as int64 arrays over [3 + k*2**22, 3 + (k+1)*2**22), from full-flag oracle segments."""
+    span = 1 << 22
+    for seg_lo in range(3, hi + 1, span):
+        seg = sieve_segment(seg_lo, min(seg_lo + span, hi + 1))
+        yield np.flatnonzero(~seg.composite) + seg.lo
+
+
+def slow_c2_partial(cutoff: int) -> float:
+    """The truncated c2 product over slow_prime_blocks, summed the way counting sums it."""
+    log_sum = 0.0
+    for block in slow_prime_blocks(cutoff):
+        ps = block.astype(np.float64)
+        log_sum += float(np.log1p(-1.0 / ((ps - 1.0) ** 2)).sum())
+    return math.exp(log_sum)
+
+
+def slow_classify(m: int) -> Classification:
+    """classify with every composite side factored in full: parent = min of their least prime factors."""
+    minus, plus = 6 * m - 1, 6 * m + 1
+    minus_prime, plus_prime = is_prime(minus), is_prime(plus)
+    if minus_prime and plus_prime:
+        return Classification(m, TWIN_RANK)
+    sides = []
+    if not minus_prime:
+        sides.append((smallest_prime_factor(minus), SIDE_MINUS))
+    if not plus_prime:
+        sides.append((smallest_prime_factor(plus), SIDE_PLUS))
+    parent = min(spf for spf, _ in sides)
+    off = nsix(parent)
+    if m % parent == off % parent:
+        sign, kappa = SIGN_PLUS, (m - off) // parent
+    else:
+        sign, kappa = SIGN_MINUS, (m + off) // parent
+    return Classification(m, NON_RANK, parent, tuple(side for _, side in sides), sign, kappa)
+
 
 # Twin ranks m <= 18 (6m-1, 6m+1 both prime), their indices 6m, and the
 # complementary non-ranks up to 19.

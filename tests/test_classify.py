@@ -1,10 +1,12 @@
 import importlib
+import math
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinsieve.arith import is_prime, nsix
+import twinsieve.arith as arith
+from twinsieve.arith import TRIAL_BOUND, is_prime, nsix, primes_between
 from twinsieve.classify import (
     NON_RANK,
     SIDE_MINUS,
@@ -18,7 +20,7 @@ from twinsieve.classify import (
 from twinsieve.errors import CapacityError, DomainError
 
 from conftest import simple_sieve
-from reference_lists import NON_RANKS_TO_19, TWIN_INDICES_TO_108, TWIN_RANKS_TO_18
+from reference_lists import NON_RANKS_TO_19, TWIN_INDICES_TO_108, TWIN_RANKS_TO_18, slow_classify
 
 REF_FLAGS = simple_sieve(200_000)
 TOP_M = (2**64 - 2) // 6  # the largest m with 6m + 1 < 2**64
@@ -83,6 +85,16 @@ class TestClassify:
         assert any(sides[side] % c.parent == 0 for side in c.composite_sides)
         for q in range(2, c.parent):
             assert all(sides[side] % q for side in c.composite_sides), q
+
+    def test_small_factor_on_one_side_spares_the_other_rho(self, monkeypatch):
+        # 6m-1 = 11 * ..., so 6m+1 = 4294967279 * 4294967291 needs trial division below 11 only.
+        def rho(n):
+            raise AssertionError(f"{n} reached Miller-Rabin and rho")
+
+        for module in (arith, classify_module):
+            monkeypatch.setattr(module, "rough_least_prime", rho)
+        c = classify(BALANCED_PLUS_M)
+        assert c.parent == 11 and c.composite_sides == (SIDE_MINUS, SIDE_PLUS)
 
     def test_witness_reconstructs_value(self):
         for m in range(1, 3000):
@@ -246,3 +258,31 @@ def test_classify_partition_property(m):
     if not both_prime:
         assert c.parent is not None and c.parent >= 5
         assert c.composite_sides
+
+
+# Products of the primes below 1000 and below 2**16: the first gcd is cheap and
+# rejects most m before the second.
+SIEVE_PRIMORIALS = [math.prod(primes_between(1, bound)) for bound in (1000, TRIAL_BOUND)]
+
+
+def rough_semiprime_sides(m: int) -> int:
+    """The least m' >= m whose sides are both semiprimes with both factors above 2**16."""
+    while (
+        any(math.gcd(36 * m * m - 1, primorial) != 1 for primorial in SIEVE_PRIMORIALS)
+        or is_prime(6 * m - 1)
+        or is_prime(6 * m + 1)
+    ):
+        m += 1
+    assert 6 * m + 1 < TRIAL_BOUND**3  # so two factors above 2**16 is all there is room for
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=10**12 - 1),
+        st.builds(rough_semiprime_sides, st.integers(min_value=10**12, max_value=4 * 10**13)),
+    )
+)
+def test_classify_matches_two_full_factorisations(m):
+    assert classify(m) == slow_classify(m)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import twinsieve.counting as counting
@@ -19,6 +20,8 @@ from twinsieve.counting import (
 )
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.progressions import residue_set
+
+from reference_lists import slow_c2_partial, slow_prime_blocks
 
 LEVELS_TO_113 = primes_between(4, 113)  # through the 30th prime
 LEVELS_TO_229 = primes_between(4, 229)  # through the 50th prime
@@ -288,6 +291,28 @@ class TestConstants:
     def test_tightening_tolerance_moves_toward_limit(self):
         # Factors are all below 1, so the partial product decreases toward c2.
         assert twin_prime_constant(1e-4) >= twin_prime_constant(1e-6)
+
+
+class TestC2PrimeStream:
+    @pytest.mark.parametrize(
+        "cutoff",
+        [*range(2, 41), 1000, 6_666_673, 2**22 + 1, 2**22 + 2, 2**22 + 3, 2**22 + 4, 2**23 + 3],
+    )
+    def test_blocks_equal_the_oracle_segments(self, cutoff):
+        got, want = list(counting._odd_prime_blocks(cutoff)), list(slow_prime_blocks(cutoff))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-6, 1e-7])
+    def test_c2_bits_equal_the_reference(self, tol):
+        cutoff = int(2.0 / (3.0 * tol)) + 7
+        assert twin_prime_constant(tol).hex() == slow_c2_partial(cutoff).hex()
+
+    def test_c2_bits_at_the_mainterm_tolerance(self):
+        # slow_c2_partial(666_666_673) gives these bits too; it takes seconds.
+        assert twin_prime_constant(1e-9).hex() == "0x1.5200bac2a90e4p-1"
 
 
 class TestAsymptoticDensity:
