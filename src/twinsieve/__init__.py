@@ -2,7 +2,6 @@
 
 from .arith import (
     PrimeTable,
-    SquarefreeTerm,
     is_prime,
     nearest_int,
     next_prime,

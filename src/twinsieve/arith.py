@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -256,19 +255,11 @@ def _brent_rho(n: int, c: int) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class SquarefreeTerm:
-    """Squarefree product n of generating primes, with mu = (-1)^nu and nu factors."""
+def squarefree_terms(generating_primes: list[int], cap: int) -> list[tuple[int, int]]:
+    """Every squarefree product n <= cap of the generating primes (n = 1 excluded), as (n, nu) pairs.
 
-    n: int
-    mu: int
-    nu: int
-
-
-def squarefree_terms(generating_primes: list[int], cap: int) -> list[SquarefreeTerm]:
-    """Every squarefree product n <= cap of the generating primes (n = 1 excluded).
-
-    Returned ascending by n. The generating primes must be distinct.
+    nu is the number of prime factors of n, so mu(n) = (-1)**nu.  Returned
+    ascending by n.  The generating primes must be distinct.
     """
     ps = sorted(generating_primes)
     if len(set(ps)) != len(ps):
@@ -277,16 +268,16 @@ def squarefree_terms(generating_primes: list[int], cap: int) -> list[SquarefreeT
     for q in ps:
         if q not in known and (q <= known.limit or not is_prime(q)):
             raise DomainError(f"{q} is not prime")
-    out: list[SquarefreeTerm] = []
+    out: list[tuple[int, int]] = []
 
     def extend(start: int, n: int, nu: int) -> None:
         for i in range(start, len(ps)):
             v = n * ps[i]
             if v > cap:
                 break
-            out.append(SquarefreeTerm(v, -1 if (nu + 1) % 2 else 1, nu + 1))
+            out.append((v, nu + 1))
             extend(i + 1, v, nu + 1)
 
     extend(0, 1, 0)
-    out.sort(key=lambda t: t.n)
+    out.sort()
     return out

@@ -13,18 +13,24 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import SquarefreeTerm, is_prime, next_prime, primes_between, squarefree_terms
+from .arith import is_prime, next_prime, primes_between, squarefree_terms
 from .errors import CapacityError, DomainError
 from .oracle import DEFAULT_CEILING, pi2_exact
 from .parallel import parallel_map
 
 EULER_GAMMA = 0.5772156649015329
 # Largest x = L - M for which the squarefree terms are generated.  On a 2-vCPU
-# host, legendre --level 23 (x = 37,182,005) peaks at 1,169 MB in 29 s; the next
+# host, legendre --level 23 (x = 37,182,005) peaks at 846 MB in 15-17 s; the next
 # level's x, 1,078,282,045, is 29 times larger.  main_term also sums one exact
-# Fraction per term: mainterm --level 19 (x = 1,616,527) takes 375 s.
+# Fraction per term: mainterm --level 19 (x = 1,616,527) takes 122-129 s at
+# 110 MB, 51 s of it in main_term (14 s in the tree sum), the rest in the
+# exact envelope.
 LEGENDRE_GUARD = 4 * 10**7
 MAINTERM_GUARD = 2 * 10**6
+# Largest prime cutoff of the truncated c2 product, the one tolerance 1e-10
+# needs: c2 --tol 1e-10 takes 31 s at 45 MB, and each tenfold tightening costs
+# more than tenfold (1e-12 would take hours).
+C2_GUARD = 6_666_666_673
 
 
 @dataclass(frozen=True)
@@ -93,22 +99,32 @@ def m_bound(p_next: int) -> int:
     return (p_next * p_next - 1) // 6
 
 
-def _ie_terms(p_j: int, x: int) -> list[SquarefreeTerm]:
-    """Squarefree products n <= x of the primes in (p_j, x]."""
+def _ie_terms(p_j: int, x: int) -> list[tuple[int, int]]:
+    """Squarefree products n <= x of the primes in (p_j, x], as (n, nu) pairs."""
     return squarefree_terms(primes_between(p_j, x), x)
 
 
-def _ie_floor_sum(terms: list[SquarefreeTerm], x: int, workers: int = 1) -> int:
+def _ie_floor_sum(terms: list[tuple[int, int]], x: int, workers: int = 1) -> int:
     """Sum of mu(n) * 2^nu(n) * floor(x/n); integer-exact, so any partition merges equally."""
-    if workers <= 1:  # in-process, skip the picklable triples: they cost more than the sum
-        return sum(t.mu * (1 << t.nu) * (x // t.n) for t in terms)
-    chunks = [(x, [(t.n, t.mu, t.nu) for t in terms[i::workers]]) for i in range(workers)]
-    return sum(parallel_map(_ie_floor_chunk, chunks, workers))
+    k = max(workers, 1)
+    return sum(parallel_map(_ie_floor_chunk, [(x, terms[i::k]) for i in range(k)], k))
 
 
-def _ie_floor_chunk(args: tuple[int, list[tuple[int, int, int]]]) -> int:
-    x, triples = args
-    return sum(mu * (1 << nu) * (x // n) for n, mu, nu in triples)
+def _ie_floor_chunk(args: tuple[int, list[tuple[int, int]]]) -> int:
+    x, terms = args
+    return sum((-2) ** nu * (x // n) for n, nu in terms)
+
+
+def _tree_sum(values: list[Fraction]) -> Fraction:
+    """Sum of a non-empty list, added pairwise.
+
+    Each addition meets operands of like size, where a left-to-right sum would
+    carry an ever larger denominator into every addition.
+    """
+    while len(values) > 1:
+        odd_one_out = values[len(values) & ~1 :]
+        values = [a + b for a, b in zip(values[::2], values[1::2])] + odd_one_out
+    return values[0]
 
 
 @dataclass(frozen=True)
@@ -192,9 +208,7 @@ def main_term(p_j: int, *, workers: int = 1) -> MainTermReport:
     if x > MAINTERM_GUARD:
         raise CapacityError(f"x = {x} at level {p_j} exceeds {MAINTERM_GUARD}")
     terms = _ie_terms(p_j, x)
-    rm_sum = Fraction(R0) + sum(
-        (Fraction(t.mu * (1 << t.nu) * x, t.n) for t in terms), Fraction(0)
-    )
+    rm_sum = _tree_sum([Fraction(R0)] + [Fraction((-2) ** nu * x, n) for n, nu in terms])
     estimate = R0 + _ie_floor_sum(terms, x, workers)
 
     # L * prod_{5<=q<=x} (q-2)/q = R0 * tail, tail the product over p_j < q <= x,
@@ -226,6 +240,8 @@ def twin_prime_constant(tolerance: float = 1e-6) -> float:
     if not tolerance >= 1e-12:
         raise DomainError(f"tolerance must be >= 1e-12, got {tolerance}")
     cutoff = int(2.0 / (3.0 * tolerance)) + 7
+    if cutoff > C2_GUARD:
+        raise CapacityError(f"tolerance {tolerance} needs primes up to {cutoff}, above {C2_GUARD}")
     return _c2_partial(cutoff)
 
 

@@ -18,7 +18,7 @@ from .errors import CapacityError, DomainError
 from .parallel import parallel_map
 
 DEFAULT_CEILING = 10**9
-DEFAULT_SEGMENT = 1 << 20
+DEFAULT_SEGMENT = 1 << 20  # numbers per segment in pi2_exact and twin_ranks_up_to
 
 # Ranks handled per chunk so one chunk's number span is about DEFAULT_SEGMENT.
 _VERIFY_CHUNK_RANKS = 1 << 15
@@ -40,17 +40,8 @@ def _base_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(_base_flags[: limit + 1])
 
 
-@dataclass(frozen=True, eq=False)
-class SieveSegment:
-    """Composite flags over [lo, hi); a clear flag means the number is prime."""
-
-    lo: int
-    hi: int
-    composite: np.ndarray
-
-
-def sieve_segment(lo: int, hi: int) -> SieveSegment:
-    """Sieve the half-open range [lo, hi)."""
+def sieve_segment(lo: int, hi: int) -> np.ndarray:
+    """Composite flags over the half-open range [lo, hi): flag i is clear when lo + i is prime."""
     if lo < 0 or hi < lo:
         raise DomainError(f"bad segment bounds [{lo}, {hi})")
     comp = np.zeros(hi - lo, dtype=bool)
@@ -60,21 +51,21 @@ def sieve_segment(lo: int, hi: int) -> SieveSegment:
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start < hi:
             comp[start - lo :: p] = True
-    return SieveSegment(lo, hi, comp)
+    return comp
 
 
 def _twin_truth(m_lo: int, m_hi: int) -> np.ndarray:
     """Boolean array over ranks m_lo..m_hi: True where 6m-1 and 6m+1 are both prime."""
-    seg = sieve_segment(6 * m_lo - 1, 6 * m_hi + 2)
-    idx = 6 * np.arange(m_lo, m_hi + 1, dtype=np.int64) - 1 - seg.lo
-    return ~seg.composite[idx] & ~seg.composite[idx + 2]
+    comp = sieve_segment(6 * m_lo - 1, 6 * m_hi + 2)
+    idx = 6 * np.arange(m_hi - m_lo + 1, dtype=np.int64)
+    return ~comp[idx] & ~comp[idx + 2]
 
 
 def _rank_chunks(m_lo: int, m_hi: int, ranks_per: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + ranks_per - 1, m_hi)) for lo in range(m_lo, m_hi + 1, ranks_per)]
 
 
-def pi2_exact(y: int, *, ceiling: int = DEFAULT_CEILING, segment_size: int = DEFAULT_SEGMENT) -> int:
+def pi2_exact(y: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Count of m >= 1 with 6m-1 and 6m+1 both prime and 6m+1 <= y.
 
     The pair (3, 5) is not of the form 6m+-1 and is not counted.
@@ -87,7 +78,7 @@ def pi2_exact(y: int, *, ceiling: int = DEFAULT_CEILING, segment_size: int = DEF
     if m_max < 1:
         return 0
     count = 0
-    for lo, hi in _rank_chunks(1, m_max, max(1, segment_size // 6)):
+    for lo, hi in _rank_chunks(1, m_max, DEFAULT_SEGMENT // 6):
         count += int(_twin_truth(lo, hi).sum())
     return count
 
@@ -100,9 +91,7 @@ class TwinRankStream:
     ranks: tuple[int, ...]
 
 
-def twin_ranks_up_to(
-    limit_rank: int, *, ceiling: int = DEFAULT_CEILING, segment_size: int = DEFAULT_SEGMENT
-) -> TwinRankStream:
+def twin_ranks_up_to(limit_rank: int, *, ceiling: int = DEFAULT_CEILING) -> TwinRankStream:
     """All twin ranks m <= limit_rank, ascending."""
     if limit_rank < 0:
         raise DomainError(f"twin_ranks_up_to needs limit >= 0, got {limit_rank}")
@@ -110,7 +99,7 @@ def twin_ranks_up_to(
         raise CapacityError(f"6*{limit_rank}+1 exceeds the sieve ceiling {ceiling}")
     ranks: list[int] = []
     if limit_rank >= 1:
-        for lo, hi in _rank_chunks(1, limit_rank, max(1, segment_size // 6)):
+        for lo, hi in _rank_chunks(1, limit_rank, DEFAULT_SEGMENT // 6):
             hits = np.flatnonzero(_twin_truth(lo, hi))
             ranks.extend((hits + lo).tolist())
     return TwinRankStream(limit_rank, tuple(ranks))

@@ -5,6 +5,7 @@ being frozen here (see the adjacent tests, which re-derive each list).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,8 +38,7 @@ def slow_prime_blocks(hi: int):
     """The primes in (2, hi] as int64 arrays over [3 + k*2**22, 3 + (k+1)*2**22), from full-flag oracle segments."""
     span = 1 << 22
     for seg_lo in range(3, hi + 1, span):
-        seg = sieve_segment(seg_lo, min(seg_lo + span, hi + 1))
-        yield np.flatnonzero(~seg.composite) + seg.lo
+        yield np.flatnonzero(~sieve_segment(seg_lo, min(seg_lo + span, hi + 1))) + seg_lo
 
 
 def slow_c2_partial(cutoff: int) -> float:
@@ -48,6 +48,11 @@ def slow_c2_partial(cutoff: int) -> float:
         ps = block.astype(np.float64)
         log_sum += float(np.log1p(-1.0 / ((ps - 1.0) ** 2)).sum())
     return math.exp(log_sum)
+
+
+def slow_rm_sum(R0: int, x: int, terms: list[tuple[int, int]]) -> Fraction:
+    """main_term's exact R_M_sum = R0 + sum mu(n) 2^nu(n) x/n over (n, nu) terms, added left to right."""
+    return Fraction(R0) + sum((Fraction((-1) ** nu * 2**nu * x, n) for n, nu in terms), Fraction(0))
 
 
 def slow_classify(m: int) -> Classification:

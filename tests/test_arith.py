@@ -268,11 +268,11 @@ class TestSmallestPrimeFactor:
 class TestSquarefreeTerms:
     def test_example_small_cap(self):
         terms = squarefree_terms([11, 13], 15)
-        assert [(t.n, t.mu, t.nu) for t in terms] == [(11, -1, 1), (13, -1, 1)]
+        assert [(n, (-1) ** nu, nu) for n, nu in terms] == [(11, -1, 1), (13, -1, 1)]
 
     def test_example_includes_product(self):
         terms = squarefree_terms([11, 13], 200)
-        assert (143, 1, 2) in [(t.n, t.mu, t.nu) for t in terms]
+        assert (143, 1, 2) in [(n, (-1) ** nu, nu) for n, nu in terms]
 
     def test_empty_generators(self):
         assert squarefree_terms([], 100) == []
@@ -287,7 +287,7 @@ class TestSquarefreeTerms:
         # Far past any shared table: checked by Miller-Rabin, not by growing a sieve.
         big = 10**12 + 39
         terms = squarefree_terms([11, big], 20 * big)
-        assert [(t.n, t.mu, t.nu) for t in terms] == [(11, -1, 1), (big, -1, 1), (11 * big, 1, 2)]
+        assert [(n, (-1) ** nu, nu) for n, nu in terms] == [(11, -1, 1), (big, -1, 1), (11 * big, 1, 2)]
         with pytest.raises(DomainError):
             squarefree_terms([11, 10**12 + 41], 100)
 
@@ -295,11 +295,11 @@ class TestSquarefreeTerms:
         gens = [5, 7, 11, 13, 17, 19, 23, 29, 31]
         product = math.prod(gens)
         terms = squarefree_terms(gens, 10_000)
-        assert [t.n for t in terms] == sorted(t.n for t in terms)
-        assert len({t.n for t in terms}) == len(terms)
-        for t in terms:
-            assert product % t.n == 0
-            assert t.mu == (-1) ** t.nu == reference_mobius(t.n)
+        assert [n for n, _ in terms] == sorted(n for n, _ in terms)
+        assert len({n for n, _ in terms}) == len(terms)
+        for n, nu in terms:
+            assert product % n == 0
+            assert (-1) ** nu == reference_mobius(n)
 
     def test_exhaustive_against_scan(self):
         # Every squarefree n <= cap over the generators appears exactly once.
@@ -318,7 +318,7 @@ class TestSquarefreeTerms:
             else:
                 if m == 1:
                     expect.append((n, (-1) ** nu, nu))
-        assert [(t.n, t.mu, t.nu) for t in squarefree_terms(gens, cap)] == expect
+        assert [(n, (-1) ** nu, nu) for n, nu in squarefree_terms(gens, cap)] == expect
 
 
 def test_next_prime():

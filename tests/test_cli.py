@@ -273,6 +273,16 @@ class TestErrorsAndOutput:
         assert (code, out) == (1, "")
         assert err == f"twinsieve {command}: x = {x} at level {level} exceeds {guard}\n"
 
+    @pytest.mark.parametrize("tol,cutoff", [("1e-11", 66666666673), ("1e-12", 666666666673)])
+    def test_c2_tolerance_above_guard_exits_1(self, capsys, monkeypatch, tol, cutoff):
+        def sieved(cutoff):
+            raise AssertionError("c2 primes were sieved above the guard")
+
+        monkeypatch.setattr(importlib.import_module("twinsieve.counting"), "_odd_prime_blocks", sieved)
+        code, out, err = run_cli(capsys, "c2", "--tol", tol)
+        assert (code, out) == (1, "")
+        assert err == f"twinsieve c2: tolerance {tol} needs primes up to {cutoff}, above 6666666673\n"
+
     def test_out_of_memory_exits_1(self, capsys, monkeypatch):
         def exhausted(level):
             raise MemoryError

@@ -7,6 +7,7 @@ import pytest
 import twinsieve.counting as counting
 from twinsieve.arith import next_prime, primes_between, primorial_from_5
 from twinsieve.counting import (
+    C2_GUARD,
     LEGENDRE_GUARD,
     MAINTERM_GUARD,
     asymptote_coefficient,
@@ -21,7 +22,7 @@ from twinsieve.counting import (
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.progressions import residue_set
 
-from reference_lists import slow_c2_partial, slow_prime_blocks
+from reference_lists import slow_c2_partial, slow_prime_blocks, slow_rm_sum
 
 LEVELS_TO_113 = primes_between(4, 113)  # through the 30th prime
 LEVELS_TO_229 = primes_between(4, 229)  # through the 50th prime
@@ -207,8 +208,16 @@ class TestLegendre:
         assert rep.oracle_window is None and rep.residual_window is None
         assert rep.estimate == rep.R0 + rep.ie_sum
 
+    @pytest.mark.parametrize("level", [7, 11, 13])
+    def test_floor_sum_against_naive_scan_at_every_worker_count(self, level):
+        x = counts_row(level).x
+        terms = counting._ie_terms(level, x)
+        want = naive_ie_sum(level, x)
+        assert [counting._ie_floor_sum(terms, x, w) for w in (1, 2, 3, 4)] == [want] * 4
+
     def test_workers_do_not_change_result(self):
-        assert legendre_pi2(13, workers=4) == legendre_pi2(13)
+        for level in (7, 11, 13):
+            assert legendre_pi2(level, workers=4) == legendre_pi2(level)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -235,6 +244,18 @@ class TestMainTerm:
             )
             R0 = math.prod(q - 2 for q in primes_between(4, level))
             assert rep.R_M_sum == R0 + total
+
+    @pytest.mark.parametrize("level", [7, 11, 13, 17])
+    def test_tree_sum_equals_the_left_to_right_sum(self, level):
+        rep = main_term(level)
+        terms = counting._ie_terms(level, rep.x)
+        assert rep.R_M_sum == slow_rm_sum(counts_row(level).R, rep.x, terms)
+
+    @pytest.mark.parametrize("size", range(1, 12))
+    def test_tree_sum_adds_every_value_once(self, size):
+        # Distinct powers of two: leaving any value out, or adding one twice, changes the sum.
+        values = [Fraction(1, 2**k) for k in range(size)]
+        assert counting._tree_sum(values) == 2 - Fraction(1, 2 ** (size - 1))
 
     def test_forms_differ_and_gap_is_reported(self):
         # The sum and product forms disagree at finite x; both are exact.
@@ -287,6 +308,19 @@ class TestConstants:
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
             twin_prime_constant(1e-13)
+
+    @pytest.mark.parametrize("tol,cutoff", [(1e-11, 66_666_666_673), (1e-12, 666_666_666_673)])
+    def test_cutoff_above_the_guard_is_refused_before_sieving(self, monkeypatch, tol, cutoff):
+        def sieved(cutoff):
+            raise AssertionError("c2 primes were sieved above the guard")
+
+        monkeypatch.setattr(counting, "_odd_prime_blocks", sieved)
+        with pytest.raises(CapacityError, match=f"tolerance {tol} needs primes up to {cutoff}, above {C2_GUARD}"):
+            twin_prime_constant(tol)
+
+    def test_guard_admits_tolerance_1e_10(self, monkeypatch):
+        monkeypatch.setattr(counting, "_c2_partial", lambda cutoff: cutoff)
+        assert twin_prime_constant(1e-10) == C2_GUARD == 6_666_666_673
 
     def test_tightening_tolerance_moves_toward_limit(self):
         # Factors are all below 1, so the partial product decreases toward c2.

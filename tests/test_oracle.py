@@ -1,5 +1,6 @@
 import pytest
 
+import twinsieve.oracle as oracle
 from twinsieve.counting import m_bound
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import (
@@ -16,21 +17,40 @@ from reference_lists import NON_RANKS_TO_19, REMNANTS_61_BELOW_748, TWIN_RANKS_T
 REF_FLAGS = simple_sieve(200_000)
 
 
+def _segments_sieved(monkeypatch, size: int) -> list[tuple[int, int]]:
+    """Set the oracle's segment size; the returned list fills with the [lo, hi) of each segment sieved."""
+    spans: list[tuple[int, int]] = []
+
+    def recorded(lo, hi):
+        spans.append((lo, hi))
+        return sieve_segment(lo, hi)
+
+    monkeypatch.setattr(oracle, "DEFAULT_SEGMENT", size)
+    monkeypatch.setattr(oracle, "sieve_segment", recorded)
+    return spans
+
+
+def _expected_spans(m_max: int, size: int) -> list[tuple[int, int]]:
+    """Segments over ranks 1..m_max in runs of size // 6 ranks, each run [6*lo - 1, 6*hi + 2)."""
+    per = size // 6
+    return [(6 * lo - 1, 6 * min(lo + per - 1, m_max) + 2) for lo in range(1, m_max + 1, per)]
+
+
 class TestSieveSegment:
     def test_flags_match_reference(self):
-        seg = sieve_segment(10, 110)
+        comp = sieve_segment(10, 110)
+        assert comp.shape == (100,) and comp.dtype == bool
         for n in range(10, 110):
-            assert (not seg.composite[n - 10]) == REF_FLAGS[n]
+            assert (not comp[n - 10]) == REF_FLAGS[n]
 
     def test_small_values(self):
-        seg = sieve_segment(0, 10)
-        assert [int(v) for v in ~seg.composite] == [0, 0, 1, 1, 0, 1, 0, 1, 0, 0]
+        assert [int(v) for v in ~sieve_segment(0, 10)] == [0, 0, 1, 1, 0, 1, 0, 1, 0, 0]
 
     def test_segment_boundaries_irrelevant(self):
-        whole = sieve_segment(0, 50_000).composite
+        whole = sieve_segment(0, 50_000)
         pieces = []
         for lo in range(0, 50_000, 7919):
-            pieces.extend(sieve_segment(lo, min(lo + 7919, 50_000)).composite.tolist())
+            pieces.extend(sieve_segment(lo, min(lo + 7919, 50_000)).tolist())
         assert whole.tolist() == pieces
 
     def test_domain(self):
@@ -49,9 +69,13 @@ class TestPi2:
         )
         assert pi2_exact(100_000) == want
 
-    def test_segment_size_independence(self):
-        counts = {pi2_exact(1_000_000, segment_size=s) for s in (1 << 10, 1 << 16, 1 << 20)}
-        assert len(counts) == 1
+    def test_segment_size_independence(self, monkeypatch):
+        counts = set()
+        for size in (1 << 10, 1 << 16, 1 << 20):
+            spans = _segments_sieved(monkeypatch, size)
+            counts.add(pi2_exact(1_000_000))
+            assert spans == _expected_spans((1_000_000 - 1) // 6, size)
+        assert counts == {8_168}  # the 8,169 twin pairs below 10^6, less (3, 5)
 
     def test_ceiling(self):
         with pytest.raises(CapacityError):
@@ -74,10 +98,13 @@ class TestTwinRankStream:
         ranks = twin_ranks_up_to(50_000).ranks
         assert all(a < b for a, b in zip(ranks, ranks[1:]))
 
-    def test_segment_size_independence(self):
-        a = twin_ranks_up_to(40_000, segment_size=1 << 10)
-        b = twin_ranks_up_to(40_000, segment_size=1 << 20)
-        assert a == b
+    def test_segment_size_independence(self, monkeypatch):
+        streams = []
+        for size in (1 << 10, 1 << 16, 1 << 20):
+            spans = _segments_sieved(monkeypatch, size)
+            streams.append(twin_ranks_up_to(40_000))
+            assert spans == _expected_spans(40_000, size)
+        assert streams[0] == streams[1] == streams[2]
 
     def test_ceiling(self):
         with pytest.raises(CapacityError):
