@@ -1,7 +1,6 @@
 """Twin-prime sieve over ranks m with 6m-1 and 6m+1 both prime."""
 
 from .arith import (
-    PrimeTable,
     is_prime,
     nearest_int,
     next_prime,

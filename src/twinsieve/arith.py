@@ -1,4 +1,4 @@
-"""Exact integer primitives: primality, factoring, prime tables, primorials, squarefree terms.
+"""Exact integer primitives: primality, factoring, the engine's prime sieve, primorials, squarefree terms.
 
 Everything here is exact: primality below 2**64 is deterministic, primorials
 are arbitrary-precision, and the nearest-integer function works on rationals
@@ -7,6 +7,7 @@ so the half-integer ambiguity is detectable instead of silently rounded.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from fractions import Fraction
@@ -66,75 +67,71 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeTable:
-    """Immutable table of all primes <= limit with 1-based index access (p_1 = 2)."""
-
-    __slots__ = ("limit", "_odd_flags", "_primes")
-
-    def __init__(self, limit: int):
-        if limit < 2:
-            raise DomainError(f"prime table needs limit >= 2, got {limit}")
-        self.limit = limit
-        n_odd = max(0, (limit - 1) // 2)  # flags for odd values 3, 5, ..., index i -> 2i+3
-        flags = np.ones(n_odd, dtype=bool)
-        for i in range((math.isqrt(limit) - 1) // 2):
-            if flags[i]:
-                p = 2 * i + 3
-                flags[(p * p - 3) // 2 :: p] = False
-        self._odd_flags = flags
-        odd_primes = 2 * np.flatnonzero(flags).astype(np.int64) + 3
-        self._primes = np.concatenate((np.array([2], dtype=np.int64), odd_primes))
-
-    @property
-    def primes(self) -> np.ndarray:
-        return self._primes
-
-    def __len__(self) -> int:
-        return int(self._primes.size)
-
-    def __contains__(self, n: int) -> bool:
-        if not 2 <= n <= self.limit:
-            return False
-        if n % 2 == 0:
-            return n == 2
-        return bool(self._odd_flags[(n - 3) // 2])
-
-    def nth(self, j: int) -> int:
-        """The j-th prime, 1-based: nth(1) = 2, nth(3) = 5."""
-        if not 1 <= j <= len(self):
-            raise DomainError(f"prime index {j} out of range 1..{len(self)}")
-        return int(self._primes[j - 1])
-
-    def index(self, p: int) -> int:
-        """1-based index of the prime p in the table."""
-        i = int(np.searchsorted(self._primes, p))
-        if i >= len(self) or self._primes[i] != p:
-            raise DomainError(f"{p} is not a prime in the table")
-        return i + 1
-
-    def between(self, lo: int, hi: int) -> list[int]:
-        """Primes p with lo < p <= min(hi, limit), ascending."""
-        i = int(np.searchsorted(self._primes, lo, side="right"))
-        j = int(np.searchsorted(self._primes, hi, side="right"))
-        return self._primes[i:j].tolist()
+# The engine's prime sieve: blocks of SPAN numbers from 3 up, one flag per odd
+# number, each block tiled from the odd multiples of the wheel primes, which
+# repeat every WHEEL_PERIOD odd numbers.  The oracle keeps its own sieve.
+SPAN = 1 << 22
+WHEEL = (3, 5, 7, 11, 13, 17)
+WHEEL_PERIOD = math.prod(WHEEL)
 
 
-_shared: PrimeTable | None = None
+@functools.cache
+def _wheel_pattern() -> np.ndarray:
+    """Flags of the odd multiples of WHEEL over one period, index j for 2j+1."""
+    pattern = np.zeros(WHEEL_PERIOD, dtype=bool)
+    for q in WHEEL:
+        pattern[(q - 1) // 2 :: q] = True
+    return pattern
 
 
-def shared_table(limit: int) -> PrimeTable:
-    """Module-wide prime table, regrown geometrically on demand."""
-    global _shared
-    if _shared is None or _shared.limit < limit:
-        _shared = PrimeTable(max(limit, 1 << 16, 0 if _shared is None else 2 * _shared.limit))
-    return _shared
+def odd_prime_blocks(cutoff: int):
+    """Yield int64 arrays of the primes in [lo, hi), for lo = 3 + k*SPAN and hi <= cutoff + 1.
+
+    Flag j of the stream stands for the odd number 2j+1, and flag i of a block
+    for lo + 2i.  The odd multiples of a prime p are the j = (p-1)/2 (mod p), so
+    each base prime strikes every p-th flag from the first such j in the block
+    that is at least p*p.  The base primes, 19 up to isqrt(cutoff), come from
+    the stream itself run to that root.
+    """
+    root = math.isqrt(cutoff)
+    base = np.empty(0, dtype=np.int64)
+    if root > WHEEL[-1]:
+        base = np.concatenate(list(odd_prime_blocks(root)))
+        base = base[base > WHEEL[-1]]
+    half, square = (base - 1) // 2, (base * base - 1) // 2
+    pattern = _wheel_pattern()
+    for lo in range(3, cutoff + 1, SPAN):
+        hi = min(lo + SPAN, cutoff + 1)
+        j0 = (lo - 1) // 2
+        comp = np.resize(np.roll(pattern, -(j0 % WHEEL_PERIOD)), (hi - lo + 1) // 2)
+        if lo == 3:
+            comp[[(q - 3) // 2 for q in WHEEL if q < hi]] = False
+        k = int(np.searchsorted(base, math.isqrt(hi - 1), side="right"))
+        offsets = np.maximum(square[:k] - j0, (half[:k] - j0) % base[:k])
+        for off, p in zip(offsets.tolist(), base[:k].tolist()):
+            comp[off::p] = True
+        yield 2 * np.flatnonzero(~comp) + lo
+
+
+_sieved: tuple[int, np.ndarray] = (1, np.empty(0, dtype=np.int64))
+
+
+def _sieve_to(hi: int) -> tuple[int, np.ndarray]:
+    """(limit, every prime <= limit ascending) with limit >= hi; the one cache, regrown geometrically."""
+    global _sieved
+    if _sieved[0] < hi:
+        limit = max(hi, 1 << 16, 2 * _sieved[0])
+        _sieved = (limit, np.concatenate([np.array([2], dtype=np.int64), *odd_prime_blocks(limit)]))
+    return _sieved
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
     """All primes p with lo < p <= hi, ascending; empty if the range holds none."""
     if hi < 2 or hi <= lo:
         return []
-    return shared_table(hi).between(lo, hi)
+    primes = _sieve_to(hi)[1]
+    i, j = np.searchsorted(primes, [lo, hi], side="right")
+    return primes[i:j].tolist()
 
 
 def next_prime(n: int) -> int:
@@ -174,7 +171,7 @@ def primorial_from_5(p: int) -> int:
 
 
 # Trial division covers the primes below this bound; larger factors come from
-# Brent's rho, so no prime table ever grows past it on behalf of factoring.
+# Brent's rho, so the prime cache never grows past it on behalf of factoring.
 TRIAL_BOUND = 1 << 16
 _RHO_BATCH = 128  # rho steps per batched gcd
 
@@ -182,7 +179,7 @@ _RHO_BATCH = 128  # rho steps per batched gcd
 @functools.cache
 def _small_primes() -> tuple[int, ...]:
     # A tuple: python-level iteration with early break beats a numpy array here.
-    return tuple(shared_table(TRIAL_BOUND).between(1, TRIAL_BOUND))
+    return tuple(primes_between(1, TRIAL_BOUND))
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -264,9 +261,16 @@ def squarefree_terms(generating_primes: list[int], cap: int) -> list[tuple[int, 
     ps = sorted(generating_primes)
     if len(set(ps)) != len(ps):
         raise DomainError("generating primes must be distinct")
-    known = shared_table(2)  # as far as primes_between has sieved; Miller-Rabin past its end
-    for q in ps:
-        if q not in known and (q <= known.limit or not is_prime(q)):
+    # Looked up as far as primes_between has sieved, by one vectorised search;
+    # Miller-Rabin past its end.
+    limit, sieved = _sieve_to(2)
+    k = bisect.bisect_right(ps, limit)
+    small = np.array(ps[:k])
+    absent = small[sieved[np.searchsorted(sieved, small).clip(max=sieved.size - 1)] != small]
+    if absent.size:
+        raise DomainError(f"{absent[0]} is not prime")
+    for q in ps[k:]:
+        if not is_prime(q):
             raise DomainError(f"{q} is not prime")
     out: list[tuple[int, int]] = []
 

@@ -7,24 +7,24 @@ in the truncated twin-prime-constant product and the asymptote evaluation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_prime, next_prime, primes_between, squarefree_terms
+from .arith import is_prime, next_prime, odd_prime_blocks, primes_between, squarefree_terms
 from .errors import CapacityError, DomainError
 from .oracle import DEFAULT_CEILING, pi2_exact
-from .parallel import parallel_map
+from .parallel import parallel_map, pool_size
 
 EULER_GAMMA = 0.5772156649015329
 # Largest x = L - M for which the squarefree terms are generated.  On a 2-vCPU
 # host, legendre --level 23 (x = 37,182,005) peaks at 846 MB in 15-17 s; the next
 # level's x, 1,078,282,045, is 29 times larger.  main_term also sums one exact
-# Fraction per term: mainterm --level 19 (x = 1,616,527) takes 122-129 s at
-# 110 MB, 51 s of it in main_term (14 s in the tree sum), the rest in the
-# exact envelope.
+# Fraction per term: mainterm --level 19 (x = 1,616,527) takes 112 s at
+# 109 MB, 35 s of it in main_term (c2 aside), the rest in the exact envelope.
 LEGENDRE_GUARD = 4 * 10**7
 MAINTERM_GUARD = 2 * 10**6
 # Largest prime cutoff of the truncated c2 product, the one tolerance 1e-10
@@ -106,7 +106,7 @@ def _ie_terms(p_j: int, x: int) -> list[tuple[int, int]]:
 
 def _ie_floor_sum(terms: list[tuple[int, int]], x: int, workers: int = 1) -> int:
     """Sum of mu(n) * 2^nu(n) * floor(x/n); integer-exact, so any partition merges equally."""
-    k = max(workers, 1)
+    k = pool_size(workers, len(terms))
     return sum(parallel_map(_ie_floor_chunk, [(x, terms[i::k]) for i in range(k)], k))
 
 
@@ -115,15 +115,15 @@ def _ie_floor_chunk(args: tuple[int, list[tuple[int, int]]]) -> int:
     return sum((-2) ** nu * (x // n) for n, nu in terms)
 
 
-def _tree_sum(values: list[Fraction]) -> Fraction:
-    """Sum of a non-empty list, added pairwise.
+def _tree_sum(values: list, op):
+    """op folded over a non-empty list pairwise: op(op(v0, v1), op(v2, v3)) and so on.
 
-    Each addition meets operands of like size, where a left-to-right sum would
-    carry an ever larger denominator into every addition.
+    Each step meets operands of like size, where a left-to-right fold would
+    carry an ever larger denominator or product into every step.
     """
     while len(values) > 1:
         odd_one_out = values[len(values) & ~1 :]
-        values = [a + b for a, b in zip(values[::2], values[1::2])] + odd_one_out
+        values = [op(a, b) for a, b in zip(values[::2], values[1::2])] + odd_one_out
     return values[0]
 
 
@@ -208,15 +208,15 @@ def main_term(p_j: int, *, workers: int = 1) -> MainTermReport:
     if x > MAINTERM_GUARD:
         raise CapacityError(f"x = {x} at level {p_j} exceeds {MAINTERM_GUARD}")
     terms = _ie_terms(p_j, x)
-    rm_sum = _tree_sum([Fraction(R0)] + [Fraction((-2) ** nu * x, n) for n, nu in terms])
+    rm_sum = _tree_sum([Fraction(R0)] + [Fraction((-2) ** nu * x, n) for n, nu in terms], operator.add)
     estimate = R0 + _ie_floor_sum(terms, x, workers)
 
     # L * prod_{5<=q<=x} (q-2)/q = R0 * tail, tail the product over p_j < q <= x,
-    # kept as an unreduced integer pair until one Fraction normalization.
-    num_tail = den_tail = 1
-    for q in primes_between(p_j, x):
-        num_tail *= q - 2
-        den_tail *= q
+    # multiplied out as two product trees and kept as an unreduced integer pair
+    # until one Fraction normalization.
+    tail_primes = primes_between(p_j, x)
+    num_tail = _tree_sum([q - 2 for q in tail_primes], operator.mul)
+    den_tail = _tree_sum(tail_primes, operator.mul)
     tail = Fraction(num_tail, den_tail)
     rm_product = R0 * tail + row.M * (1 - tail)
 
@@ -245,55 +245,14 @@ def twin_prime_constant(tolerance: float = 1e-6) -> float:
     return _c2_partial(cutoff)
 
 
-# The c2 product's prime stream: blocks of C2_SPAN numbers from 3 up, one flag
-# per odd number, each block filled from a copy of the odd multiples of the
-# wheel primes, which repeat every WHEEL_PERIOD odd numbers.
-C2_SPAN = 1 << 22
-WHEEL = (3, 5, 7, 11, 13, 17)
-WHEEL_PERIOD = math.prod(WHEEL)
-
-
-@lru_cache(maxsize=1)
-def _wheel_pattern() -> np.ndarray:
-    """Flags of the odd multiples of WHEEL, index j for 2j+1, over one period plus a block."""
-    pattern = np.zeros(WHEEL_PERIOD + C2_SPAN // 2, dtype=bool)
-    for q in WHEEL:
-        pattern[(q - 1) // 2 :: q] = True
-    return pattern
-
-
-def _odd_prime_blocks(cutoff: int):
-    """Yield int64 arrays of the primes in [lo, hi), for lo = 3 + k*C2_SPAN and hi <= cutoff + 1.
-
-    Flag j of the stream stands for the odd number 2j+1, and flag i of a block
-    for lo + 2i.  The odd multiples of a prime p are the j = (p-1)/2 (mod p), so
-    each base prime strikes every p-th flag from the first such j in the block
-    that is at least p*p.
-    """
-    pattern = _wheel_pattern()
-    base = np.array(primes_between(WHEEL[-1], math.isqrt(cutoff)), dtype=np.int64)
-    half, square = (base - 1) // 2, (base * base - 1) // 2
-    for lo in range(3, cutoff + 1, C2_SPAN):
-        hi = min(lo + C2_SPAN, cutoff + 1)
-        j0 = (lo - 1) // 2
-        comp = pattern[j0 % WHEEL_PERIOD :][: (hi - lo + 1) // 2].copy()
-        if lo == 3:
-            comp[[(q - 3) // 2 for q in WHEEL if q < hi]] = False
-        k = int(np.searchsorted(base, math.isqrt(hi - 1), side="right"))
-        offsets = np.maximum(square[:k] - j0, (half[:k] - j0) % base[:k])
-        for off, p in zip(offsets.tolist(), base[:k].tolist()):
-            comp[off::p] = True
-        yield 2 * np.flatnonzero(~comp) + lo
-
-
 @lru_cache(maxsize=8)
 def _c2_partial(cutoff: int) -> float:
     # The float sum is pinned: one numpy pairwise sum per block of primes in
-    # [3 + k*C2_SPAN, 3 + (k+1)*C2_SPAN), added in order.  Other block edges or
+    # [3 + k*SPAN, 3 + (k+1)*SPAN), added in order.  Other block edges or
     # a single array would round differently and change c2 in its last bits,
     # and with it every mainterm asymptote and reports/density_ratios.csv.
     log_sum = 0.0
-    for block in _odd_prime_blocks(cutoff):
+    for block in odd_prime_blocks(cutoff):
         ps = block.astype(np.float64)
         log_sum += float(np.log1p(-1.0 / ((ps - 1.0) ** 2)).sum())
     return math.exp(log_sum)

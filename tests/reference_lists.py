@@ -55,6 +55,16 @@ def slow_rm_sum(R0: int, x: int, terms: list[tuple[int, int]]) -> Fraction:
     return Fraction(R0) + sum((Fraction((-1) ** nu * 2**nu * x, n) for n, nu in terms), Fraction(0))
 
 
+def slow_rm_product(R0: int, M: int, tail_primes: list[int]) -> Fraction:
+    """main_term's exact R_M_product = R0 * tail + M * (1 - tail), tail = prod (q-2)/q multiplied left to right."""
+    num_tail = den_tail = 1
+    for q in tail_primes:
+        num_tail *= q - 2
+        den_tail *= q
+    tail = Fraction(num_tail, den_tail)
+    return R0 * tail + M * (1 - tail)
+
+
 def slow_classify(m: int) -> Classification:
     """classify with every composite side factored in full: parent = min of their least prime factors."""
     minus, plus = 6 * m - 1, 6 * m + 1

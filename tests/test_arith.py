@@ -2,12 +2,12 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import twinsieve.arith as arith
 from twinsieve.arith import (
-    PrimeTable,
     is_prime,
     nearest_int,
     next_prime,
@@ -19,6 +19,7 @@ from twinsieve.arith import (
 )
 from twinsieve.classify import classify
 from twinsieve.errors import CapacityError, DomainError
+from twinsieve.oracle import sieve_segment
 
 from conftest import simple_sieve
 from reference_lists import slow_smallest_prime_factor
@@ -26,6 +27,12 @@ from reference_lists import slow_smallest_prime_factor
 REF_FLAGS = simple_sieve(100_000)
 REF_PRIMES = [p for p, ok in enumerate(REF_FLAGS) if ok]
 PRIMES_PAST_TRIAL = [p for p in REF_PRIMES if p > arith.TRIAL_BOUND]
+COLD_CACHE = (1, np.empty(0, dtype=np.int64))  # the prime cache before anything is sieved
+
+
+def oracle_primes(lo: int, hi: int) -> list[int]:
+    """Primes p with lo < p <= hi, for lo >= 1, from the oracle's own sieve."""
+    return (np.flatnonzero(~sieve_segment(lo + 1, hi + 1)) + lo + 1).tolist()
 
 
 def reference_mobius(n: int) -> int:
@@ -60,31 +67,6 @@ class TestIsPrime:
             is_prime(1 << 64)
 
 
-class TestPrimeTable:
-    def test_initial_indexing(self):
-        table = PrimeTable(100)
-        assert table.nth(1) == 2
-        assert table.nth(2) == 3
-        assert table.nth(3) == 5
-        assert table.index(5) == 3
-
-    def test_membership_and_count(self):
-        table = PrimeTable(10_000)
-        assert len(table) == len([p for p in REF_PRIMES if p <= 10_000])
-        for n in (2, 3, 9973, 4, 9999, 1):
-            assert (n in table) == (REF_FLAGS[n] if n <= 10_000 else False)
-
-    def test_strictly_increasing(self):
-        primes = PrimeTable(1000).primes
-        assert all(primes[i] < primes[i + 1] for i in range(len(primes) - 1))
-
-    def test_bad_index(self):
-        with pytest.raises(DomainError):
-            PrimeTable(50).nth(0)
-        with pytest.raises(DomainError):
-            PrimeTable(50).index(4)
-
-
 class TestPrimesBetween:
     @pytest.mark.parametrize(
         "lo,hi,expect",
@@ -95,6 +77,59 @@ class TestPrimesBetween:
 
     def test_matches_reference(self):
         assert primes_between(0, 50_000) == [p for p in REF_PRIMES if p <= 50_000]
+
+    def test_initial_listing(self):
+        assert primes_between(0, 100)[:3] == [2, 3, 5]
+
+    def test_membership_and_count(self):
+        primes = primes_between(0, 10_000)
+        assert len(primes) == len([p for p in REF_PRIMES if p <= 10_000])
+        for n in (2, 3, 9973, 4, 9999, 1):
+            assert (n in primes) == REF_FLAGS[n]
+
+    def test_strictly_increasing(self):
+        primes = primes_between(0, 1000)
+        assert all(a < b for a, b in zip(primes, primes[1:]))
+
+
+class TestPrimeCache:
+    """primes_between against the oracle's sieve from a cold cache: block edges, the 2^16 floor, regrowth."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self, monkeypatch):
+        monkeypatch.setattr(arith, "_sieved", COLD_CACHE)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("below,above", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 0), (0, 2), (1000, 1000)])
+    def test_ranges_straddling_a_block_edge(self, k, below, above):
+        edge = 3 + k * arith.SPAN
+        lo, hi = edge - below, edge + above
+        assert primes_between(lo, hi) == oracle_primes(lo, hi)  # the cache ends at hi, just past the edge
+        assert arith._sieved[0] == hi
+        primes_between(0, 4 * arith.SPAN)
+        assert primes_between(lo, hi) == oracle_primes(lo, hi)  # the edge inside the cache
+
+    def test_the_2_16_floor(self):
+        assert primes_between(0, 10) == [2, 3, 5, 7]
+        assert arith._sieved[0] == 1 << 16
+        assert primes_between((1 << 16) - 2000, 1 << 16) == oracle_primes((1 << 16) - 2000, 1 << 16)
+        assert arith._sieved[0] == 1 << 16
+        lo, hi = (1 << 16) - 1000, (1 << 16) + 1000
+        assert primes_between(lo, hi) == oracle_primes(lo, hi)
+        assert arith._sieved[0] == 1 << 17
+
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    def test_after_regrowth(self, descending):
+        his = [10, 1 << 16, (1 << 16) + 1, (1 << 17) + 5, 10**6, 3 + 2 * arith.SPAN, 3 * arith.SPAN + 7]
+        his.sort(reverse=descending)
+        limit = 1
+        for hi in his:
+            if hi > limit:
+                limit = max(hi, 1 << 16, 2 * limit)
+            lo = max(hi - 20_000, 1)
+            assert primes_between(lo, hi) == oracle_primes(lo, hi), hi
+            assert arith._sieved[0] == limit
+            assert len(primes_between(0, hi)) == int(np.count_nonzero(~sieve_segment(0, hi + 1)))
 
 
 class TestNearestInt:
@@ -223,10 +258,10 @@ class TestSmallestPrimeFactor:
     def test_no_table_past_the_trial_bound(self, monkeypatch):
         # Seed 1's 10^16 benchmark anchor and the top of classify's domain: both
         # sides of each are composite, with square roots far above 2^16.
-        monkeypatch.setattr(arith, "_shared", None)
+        monkeypatch.setattr(arith, "_sieved", COLD_CACHE)
         for m in (9871324586500057, (2**64 - 2) // 6):
             classify(m)
-        assert arith._shared is None or arith._shared.limit <= 1 << 16
+        assert arith._sieved[0] <= 1 << 16
 
     @pytest.mark.parametrize("factors", HARD_FACTORS + CARMICHAEL_FACTORS, ids=lambda f: "*".join(map(str, f)))
     def test_hard_inputs(self, factors):
@@ -284,12 +319,28 @@ class TestSquarefreeTerms:
             squarefree_terms([4], 100)
 
     def test_generators_past_the_prime_table(self):
-        # Far past any shared table: checked by Miller-Rabin, not by growing a sieve.
+        # Far past the prime cache: checked by Miller-Rabin, not by growing the sieve.
         big = 10**12 + 39
         terms = squarefree_terms([11, big], 20 * big)
         assert [(n, (-1) ** nu, nu) for n, nu in terms] == [(11, -1, 1), (big, -1, 1), (11 * big, 1, 2)]
         with pytest.raises(DomainError):
             squarefree_terms([11, 10**12 + 41], 100)
+
+    def test_composites_refused_inside_and_past_the_sieved_array(self, monkeypatch):
+        monkeypatch.setattr(arith, "_sieved", COLD_CACHE)
+        assert squarefree_terms([65521, 65537], 10) == []  # the last prime inside, the first past
+        assert arith._sieved[0] == 1 << 16
+        cases = [
+            ([11, 65535], 65535),  # 3 * 5 * 17 * 257, inside
+            ([11, 65541], 65541),  # 3 * 21847, past
+            ([65541, 65535], 65535),  # both: the least is named
+            ([1, 11], 1),
+            ([11, 10**12 + 41], 10**12 + 41),
+        ]
+        for gens, bad in cases:
+            with pytest.raises(DomainError, match=f"^{bad} is not prime$"):
+                squarefree_terms(gens, 10**10)
+        assert arith._sieved[0] == 1 << 16  # past the array by Miller-Rabin, not by regrowing it
 
     def test_terms_divide_generator_product_and_match_mobius(self):
         gens = [5, 7, 11, 13, 17, 19, 23, 29, 31]

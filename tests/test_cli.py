@@ -278,7 +278,7 @@ class TestErrorsAndOutput:
         def sieved(cutoff):
             raise AssertionError("c2 primes were sieved above the guard")
 
-        monkeypatch.setattr(importlib.import_module("twinsieve.counting"), "_odd_prime_blocks", sieved)
+        monkeypatch.setattr(importlib.import_module("twinsieve.counting"), "odd_prime_blocks", sieved)
         code, out, err = run_cli(capsys, "c2", "--tol", tol)
         assert (code, out) == (1, "")
         assert err == f"twinsieve c2: tolerance {tol} needs primes up to {cutoff}, above 6666666673\n"
@@ -333,6 +333,8 @@ GOLDEN_COMMANDS = [
     ["constants --level 19 --cache-dir {cache}"] * 2,  # cold, then warm from the cache
     ["remnants --level 61 --bound 300000 --emit csv"],
     ["family --primes 5,7,11,13,17,19,23,29,31,37,41,43,47,53 --nested 53"],
+    ["c2 --tol 1e-7"],
+    ["counts --level 23"],
 ]
 
 

@@ -1,10 +1,13 @@
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import twinsieve.arith as arith
 import twinsieve.counting as counting
+import twinsieve.parallel as parallel
 from twinsieve.arith import next_prime, primes_between, primorial_from_5
 from twinsieve.counting import (
     C2_GUARD,
@@ -22,7 +25,7 @@ from twinsieve.counting import (
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.progressions import residue_set
 
-from reference_lists import slow_c2_partial, slow_prime_blocks, slow_rm_sum
+from reference_lists import slow_c2_partial, slow_prime_blocks, slow_rm_product, slow_rm_sum
 
 LEVELS_TO_113 = primes_between(4, 113)  # through the 30th prime
 LEVELS_TO_229 = primes_between(4, 229)  # through the 50th prime
@@ -215,6 +218,22 @@ class TestLegendre:
         want = naive_ie_sum(level, x)
         assert [counting._ie_floor_sum(terms, x, w) for w in (1, 2, 3, 4)] == [want] * 4
 
+    def test_floor_sum_cuts_no_more_chunks_than_the_pool_runs(self, monkeypatch):
+        calls = []
+
+        def recorded(fn, items, workers):
+            calls.append((items, workers))
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(counting, "parallel_map", recorded)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+        x = counts_row(13).x
+        terms = counting._ie_terms(13, x)
+        assert counting._ie_floor_sum(terms, x, 10**9) == naive_ie_sum(13, x)
+        [(items, workers)] = calls
+        assert len(items) == workers == 3
+        assert sorted(t for _, chunk in items for t in chunk) == terms
+
     def test_workers_do_not_change_result(self):
         for level in (7, 11, 13):
             assert legendre_pi2(level, workers=4) == legendre_pi2(level)
@@ -249,13 +268,18 @@ class TestMainTerm:
     def test_tree_sum_equals_the_left_to_right_sum(self, level):
         rep = main_term(level)
         terms = counting._ie_terms(level, rep.x)
-        assert rep.R_M_sum == slow_rm_sum(counts_row(level).R, rep.x, terms)
+        row = counts_row(level)
+        assert rep.R_M_sum == slow_rm_sum(row.R, rep.x, terms)
+        assert rep.R_M_product == slow_rm_product(row.R, row.M, primes_between(level, rep.x))
 
     @pytest.mark.parametrize("size", range(1, 12))
     def test_tree_sum_adds_every_value_once(self, size):
         # Distinct powers of two: leaving any value out, or adding one twice, changes the sum.
         values = [Fraction(1, 2**k) for k in range(size)]
-        assert counting._tree_sum(values) == 2 - Fraction(1, 2 ** (size - 1))
+        assert counting._tree_sum(values, operator.add) == 2 - Fraction(1, 2 ** (size - 1))
+        # Distinct primes: leaving any factor out, or taking one twice, changes the product.
+        primes = primes_between(0, 40)[:size]
+        assert counting._tree_sum(primes, operator.mul) == math.prod(primes)
 
     def test_forms_differ_and_gap_is_reported(self):
         # The sum and product forms disagree at finite x; both are exact.
@@ -314,7 +338,7 @@ class TestConstants:
         def sieved(cutoff):
             raise AssertionError("c2 primes were sieved above the guard")
 
-        monkeypatch.setattr(counting, "_odd_prime_blocks", sieved)
+        monkeypatch.setattr(counting, "odd_prime_blocks", sieved)
         with pytest.raises(CapacityError, match=f"tolerance {tol} needs primes up to {cutoff}, above {C2_GUARD}"):
             twin_prime_constant(tol)
 
@@ -330,10 +354,10 @@ class TestConstants:
 class TestC2PrimeStream:
     @pytest.mark.parametrize(
         "cutoff",
-        [*range(2, 41), 1000, 6_666_673, 2**22 + 1, 2**22 + 2, 2**22 + 3, 2**22 + 4, 2**23 + 3],
+        [*range(2, 41), 360, 361, 529, 1000, 6_666_673, 2**22 + 1, 2**22 + 2, 2**22 + 3, 2**22 + 4, 2**23 + 3],
     )
     def test_blocks_equal_the_oracle_segments(self, cutoff):
-        got, want = list(counting._odd_prime_blocks(cutoff)), list(slow_prime_blocks(cutoff))
+        got, want = list(arith.odd_prime_blocks(cutoff)), list(slow_prime_blocks(cutoff))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype == np.int64
