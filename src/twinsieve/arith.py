@@ -68,8 +68,10 @@ def is_prime(n: int) -> bool:
 
 
 # The engine's prime sieve: blocks of SPAN numbers from 3 up, one flag per odd
-# number, each block tiled from the odd multiples of the wheel primes, which
-# repeat every WHEEL_PERIOD odd numbers.  The oracle keeps its own sieve.
+# number.  A block of at least WHEEL_PERIOD flags is tiled from the odd
+# multiples of the wheel primes, which repeat every WHEEL_PERIOD odd numbers;
+# a shorter block strikes the wheel primes like any other and never builds the
+# period.  The oracle keeps its own sieve.
 SPAN = 1 << 22
 WHEEL = (3, 5, 7, 11, 13, 17)
 WHEEL_PERIOD = math.prod(WHEEL)
@@ -84,31 +86,37 @@ def _wheel_pattern() -> np.ndarray:
     return pattern
 
 
-def odd_prime_blocks(cutoff: int):
-    """Yield int64 arrays of the primes in [lo, hi), for lo = 3 + k*SPAN and hi <= cutoff + 1.
+def odd_prime_blocks(cutoff: int, start: int = 3):
+    """Yield int64 arrays of the primes in [lo, hi), for lo = start + k*SPAN and hi <= cutoff + 1.
 
-    Flag j of the stream stands for the odd number 2j+1, and flag i of a block
-    for lo + 2i.  The odd multiples of a prime p are the j = (p-1)/2 (mod p), so
-    each base prime strikes every p-th flag from the first such j in the block
-    that is at least p*p.  The base primes, 19 up to isqrt(cutoff), come from
-    the stream itself run to that root.
+    start must be a block edge 3 + k*SPAN, so a stream started there yields
+    exactly the tail of the stream from 3.  Flag j of the stream stands for the
+    odd number 2j+1, and flag i of a block for lo + 2i.  The odd multiples of a
+    prime p are the j = (p-1)/2 (mod p), so each base prime strikes every p-th
+    flag from the first such j in the block that is at least p*p.  The base
+    primes are the wheel's, which a tiled block skips, and 19 up to
+    isqrt(cutoff), which come from the stream itself run to that root.
     """
+    if start < 3 or (start - 3) % SPAN:
+        raise DomainError(f"odd_prime_blocks starts at a block edge 3 + k*{SPAN}, got {start}")
     root = math.isqrt(cutoff)
-    base = np.empty(0, dtype=np.int64)
+    base = np.array(WHEEL, dtype=np.int64)
     if root > WHEEL[-1]:
-        base = np.concatenate(list(odd_prime_blocks(root)))
-        base = base[base > WHEEL[-1]]
+        tail = np.concatenate(list(odd_prime_blocks(root)))
+        base = np.concatenate([base, tail[tail > WHEEL[-1]]])
     half, square = (base - 1) // 2, (base * base - 1) // 2
-    pattern = _wheel_pattern()
-    for lo in range(3, cutoff + 1, SPAN):
+    for lo in range(start, cutoff + 1, SPAN):
         hi = min(lo + SPAN, cutoff + 1)
-        j0 = (lo - 1) // 2
-        comp = np.resize(np.roll(pattern, -(j0 % WHEEL_PERIOD)), (hi - lo + 1) // 2)
-        if lo == 3:
-            comp[[(q - 3) // 2 for q in WHEEL if q < hi]] = False
+        j0, size = (lo - 1) // 2, (hi - lo + 1) // 2
+        if size < WHEEL_PERIOD:
+            comp, first = np.zeros(size, dtype=bool), 0
+        else:
+            comp, first = np.resize(np.roll(_wheel_pattern(), -(j0 % WHEEL_PERIOD)), size), len(WHEEL)
+            if lo == 3:
+                comp[[(q - 3) // 2 for q in WHEEL]] = False
         k = int(np.searchsorted(base, math.isqrt(hi - 1), side="right"))
-        offsets = np.maximum(square[:k] - j0, (half[:k] - j0) % base[:k])
-        for off, p in zip(offsets.tolist(), base[:k].tolist()):
+        offsets = np.maximum(square[first:k] - j0, (half[first:k] - j0) % base[first:k])
+        for off, p in zip(offsets.tolist(), base[first:k].tolist()):
             comp[off::p] = True
         yield 2 * np.flatnonzero(~comp) + lo
 

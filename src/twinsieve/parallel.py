@@ -1,4 +1,4 @@
-"""The one process-pool map behind verify_classify and the Legendre floor sum."""
+"""The one process-pool map behind verify_classify, the Legendre floor sum and the c2 product's block sums."""
 
 from __future__ import annotations
 

@@ -363,6 +363,14 @@ class TestC2PrimeStream:
             assert g.dtype == w.dtype == np.int64
             assert g.shape == w.shape and np.array_equal(g, w)
 
+    @pytest.mark.parametrize("flags", [arith.WHEEL_PERIOD - 1, arith.WHEEL_PERIOD, arith.WHEEL_PERIOD + 1])
+    @pytest.mark.parametrize("lo", [3, 3 + arith.SPAN])
+    def test_blocks_either_side_of_one_wheel_period(self, lo, flags):
+        # A last block of fewer flags than one period is struck directly, one of a period or more is tiled.
+        for cutoff in (lo + 2 * flags - 2, lo + 2 * flags - 1):
+            got, want = list(arith.odd_prime_blocks(cutoff)), list(slow_prime_blocks(cutoff))
+            assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
     @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-6, 1e-7])
     def test_c2_bits_equal_the_reference(self, tol):
         cutoff = int(2.0 / (3.0 * tol)) + 7
@@ -371,6 +379,66 @@ class TestC2PrimeStream:
     def test_c2_bits_at_the_mainterm_tolerance(self):
         # slow_c2_partial(666_666_673) gives these bits too; it takes seconds.
         assert twin_prime_constant(1e-9).hex() == "0x1.5200bac2a90e4p-1"
+
+    @pytest.mark.parametrize("cutoff", [2**23 + 3, 3 * 2**22 + 7])
+    def test_stream_from_a_block_edge_is_the_tail_of_the_stream(self, cutoff):
+        whole = list(arith.odd_prime_blocks(cutoff))
+        for k, start in enumerate(range(3, cutoff + arith.SPAN + 1, arith.SPAN)):
+            tail = list(arith.odd_prime_blocks(cutoff, start))
+            assert len(tail) == len(whole) - min(k, len(whole))
+            for g, w in zip(tail, whole[k:]):
+                assert g.dtype == w.dtype == np.int64
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("start", [-arith.SPAN + 3, 0, 1, 2, 4, 5, arith.SPAN + 2, arith.SPAN + 4, 2**23 + 5])
+    def test_stream_start_off_the_block_edges_is_refused(self, start):
+        with pytest.raises(DomainError, match=f"block edge 3 \\+ k\\*{arith.SPAN}, got {start}"):
+            list(arith.odd_prime_blocks(2**23 + 3, start))
+
+    @staticmethod
+    def _recorded_runs(monkeypatch, cores, *, compute=True):
+        calls = []
+
+        def recorded(fn, items, workers):
+            calls.append((items, workers))
+            return [fn(item) if compute else [0.0] for item in items]
+
+        monkeypatch.setattr(counting, "parallel_map", recorded)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cores)
+        return calls
+
+    @pytest.mark.parametrize("cutoff", [2 * arith.SPAN + 3, 4 * arith.SPAN + 2, 5 * arith.SPAN - 1])
+    def test_c2_runs_split_the_blocks_without_changing_a_bit(self, monkeypatch, cutoff):
+        want = slow_c2_partial(cutoff).hex()
+        edges = list(range(3, cutoff + 1, arith.SPAN))
+        assert 3 <= len(edges) <= 5
+        monkeypatch.setattr(counting, "C2_CHUNK_BLOCKS", 1)
+        for cores in (1, 2, 3, 4):
+            calls = self._recorded_runs(monkeypatch, cores)
+            assert counting._c2_partial.__wrapped__(cutoff).hex() == want
+            [(runs, workers)] = calls
+            assert len(runs) == workers == min(cores, len(edges))
+            assert runs[0][1] == 3 and runs[-1][0] == cutoff
+            assert all(lo <= hi for hi, lo in runs)
+            assert all(nxt_lo == hi + 1 for (hi, _), (_, nxt_lo) in zip(runs, runs[1:]))
+            assert [edge for hi, lo in runs for edge in range(lo, hi + 1, arith.SPAN)] == edges
+
+    @pytest.mark.parametrize(
+        "cutoff,cores,items",
+        [(6_666_673, 4, 1), (66_666_673, 4, 1), (666_666_673, 1, 1), (666_666_673, 2, 2), (666_666_673, 64, 9)],
+    )
+    def test_c2_pool_items_are_runs_of_at_least_chunk_blocks(self, monkeypatch, cutoff, cores, items):
+        # c2 --tol 1e-7 and 1e-8 (2 and 16 blocks) run in-process; 1e-9 (159 blocks) takes every core.
+        calls = self._recorded_runs(monkeypatch, cores, compute=False)
+        counting._c2_partial.__wrapped__(cutoff)
+        [(runs, workers)] = calls
+        assert len(runs) == workers == items
+
+    def test_c2_bits_through_a_real_pool(self, monkeypatch):
+        cutoff = 3 * arith.SPAN + 7
+        monkeypatch.setattr(counting, "C2_CHUNK_BLOCKS", 1)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        assert counting._c2_partial.__wrapped__(cutoff).hex() == slow_c2_partial(cutoff).hex()
 
 
 class TestAsymptoticDensity:
