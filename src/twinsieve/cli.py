@@ -174,11 +174,10 @@ def _cmd_remnants(args):
         "front_twin_ranks": rep.front_twin_ranks,
         "intruders": [{"value": v, "parent": q} for v, q in rep.intruders],
     }
-    front = set(results["front_twin_ranks"])
-    parent = {i["value"]: i["parent"] for i in results["intruders"]}
+    parent = dict(rep.intruders)
     rows = []
-    for v in results["remnants"]:
-        kind = "front_twin_rank" if v in front else ("intruder" if v in parent else "twin_rank")
+    for v in rep.remnants:
+        kind = "front_twin_rank" if v < rep.front_bound else ("intruder" if v in parent else "twin_rank")
         rows.append([v, kind, parent.get(v)])
     return results, ["value", "kind", "parent"], rows
 
@@ -186,16 +185,11 @@ def _cmd_remnants(args):
 def _cmd_family(args):
     fam = crt_family(_parse_primes(args.primes))
     header = ["signs", "residue"]
+    members = [{"signs": signs, "residue": residue} for signs, residue in fam.members]
     if args.nested is not None:
-        if args.nested not in fam.primes:
-            raise DomainError(f"--nested {args.nested} is not one of the family primes")
         header.append("nested")
-    members = []
-    for fm in fam.members:
-        entry = {"signs": "".join(fm.signs), "residue": fm.residue}
-        if args.nested is not None:
-            entry["nested"] = str(nested_form(fam.primes, fm.signs, fm.residue, fam.primes.index(args.nested)))
-        members.append(entry)
+        for i, entry in enumerate(members):
+            entry["nested"] = str(nested_form(fam, i, args.nested))
     results = {"primes": fam.primes, "modulus": fam.modulus, "members": members}
     return results, header, [[m[k] for k in header] for m in members]
 
@@ -266,22 +260,6 @@ def _cmd_bench(args):
     })
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "twins": _cmd_twins,
-    "nonranks": _cmd_nonranks,
-    "constants": _cmd_constants,
-    "remnants": _cmd_remnants,
-    "family": _cmd_family,
-    "counts": _cmd_counts,
-    "legendre": _cmd_legendre,
-    "mainterm": _cmd_mainterm,
-    "c2": _cmd_c2,
-    "verify": _cmd_verify,
-    "bench": _cmd_bench,
-}
-
-
 def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
     # On the root parser the flags carry real defaults; on subparsers they
     # default to SUPPRESS so a flag given before the subcommand survives.
@@ -302,37 +280,38 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def command(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_global_flags(p, suppress=True)
+        p.set_defaults(handler=handler)
         return p
 
-    p = command("classify", "twin rank or non-rank with parent prime")
+    p = command("classify", "twin rank or non-rank with parent prime", _cmd_classify)
     p.add_argument("m", type=int)
-    p = command("twins", "twin ranks up to a limit")
+    p = command("twins", "twin ranks up to a limit", _cmd_twins)
     p.add_argument("--limit", type=int, required=True)
-    p = command("nonranks", "non-rank values of one prime")
+    p = command("nonranks", "non-rank values of one prime", _cmd_nonranks)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--limit", type=int, required=True)
-    p = command("constants", "admissible residue classes at a level")
+    p = command("constants", "admissible residue classes at a level", _cmd_constants)
     p.add_argument("--level", type=int, required=True)
-    p = command("remnants", "value-level remnants below a bound")
+    p = command("remnants", "value-level remnants below a bound", _cmd_remnants)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p = command("family", "simultaneous non-rank progressions of several primes")
+    p = command("family", "simultaneous non-rank progressions of several primes", _cmd_family)
     p.add_argument("--primes", required=True, help="comma-separated, e.g. 5,7,11")
     p.add_argument("--nested", type=int, default=None, help="also emit nested forms with this prime outermost")
-    p = command("counts", "exact per-period counts at a level")
+    p = command("counts", "exact per-period counts at a level", _cmd_counts)
     p.add_argument("--level", type=int, required=True)
-    p = command("legendre", "inclusion-exclusion estimate with oracle residuals")
+    p = command("legendre", "inclusion-exclusion estimate with oracle residuals", _cmd_legendre)
     p.add_argument("--level", type=int, required=True)
-    p = command("mainterm", "exact main-term forms and the asymptote")
+    p = command("mainterm", "exact main-term forms and the asymptote", _cmd_mainterm)
     p.add_argument("--level", type=int, required=True)
-    p = command("c2", "twin prime constant from the truncated product")
+    p = command("c2", "twin prime constant from the truncated product", _cmd_c2)
     p.add_argument("--tol", type=float, default=1e-6)
-    p = command("verify", "replay classify against the sieve oracle")
+    p = command("verify", "replay classify against the sieve oracle", _cmd_verify)
     p.add_argument("--limit", type=int, required=True)
-    p = command("bench", "time the oracle sieve and the classifier")
+    p = command("bench", "time the oracle sieve and the classifier", _cmd_bench)
     p.add_argument("--limit", type=int, required=True)
     return parser
 
@@ -344,14 +323,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.workers < 1:
             raise DomainError(f"--workers must be >= 1, got {args.workers}")
-        results, header, rows = _HANDLERS[args.command](args)
+        results, header, rows = args.handler(args)
         if args.emit == "csv":
             text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
         else:
             parameters = {
                 k: v
                 for k, v in vars(args).items()
-                if k not in ("command", "emit", "out", "cache_dir") and v is not None
+                if k not in ("command", "handler", "emit", "out", "cache_dir") and v is not None
             }
             envelope = {
                 "command": args.command,
@@ -367,7 +346,11 @@ def main(argv: list[str] | None = None) -> int:
             _write_atomic(Path(args.out), text)
     except (DomainError, CapacityError, MemoryError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):  # the reader left: the flush at exit goes to devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
         print(f"twinsieve {args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0

@@ -239,8 +239,8 @@ def twin_prime_constant(tolerance: float = 1e-6) -> float:
     is below 2/p^2 in magnitude, and since every prime > 3 is +-1 (mod 6) the
     prime sum is below sum over n = 6k+-1 > P of 2/n^2 < 2/(3(P-6)).
     """
-    if not tolerance >= 1e-12:
-        raise DomainError(f"tolerance must be >= 1e-12, got {tolerance}")
+    if not 1e-12 <= tolerance < math.inf:
+        raise DomainError(f"tolerance must be finite and >= 1e-12, got {tolerance}")
     cutoff = int(2.0 / (3.0 * tolerance)) + 7
     if cutoff > C2_GUARD:
         raise CapacityError(f"tolerance {tolerance} needs primes up to {cutoff}, above {C2_GUARD}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -152,24 +153,17 @@ def remnants_below(p_sieve: int, bound: int) -> RemnantReport:
     )
 
 
-SIGN_VALUE = {"+": 1, "-": -1}
-
-
-@dataclass(frozen=True)
-class FamilyMember:
-    """One sign vector with its residue: residue = signs_i * N(p_i/6) (mod p_i)."""
-
-    signs: tuple[str, ...]
-    residue: int
-
-
 @dataclass(frozen=True, eq=False)
 class ProgressionFamily:
-    """The 2^m simultaneous non-rank progressions of m distinct primes."""
+    """The 2^m simultaneous non-rank progressions of m distinct primes.
+
+    members are (signs, residue) pairs sorted by residue, signs one "+" or "-"
+    per prime in ascending order ("+-+"): residue = s_i * N(p_i/6) (mod p_i).
+    """
 
     primes: tuple[int, ...]
     modulus: int
-    members: tuple[FamilyMember, ...]
+    members: tuple[tuple[str, int], ...]
 
 
 def crt_family(primes: Sequence[int]) -> ProgressionFamily:
@@ -179,8 +173,7 @@ def crt_family(primes: Sequence[int]) -> ProgressionFamily:
     positive member of such a class, past the n = 0 offsets, is a non-rank of
     every prime in the list.  In Gauss's form of the CRT the residue is
     sum s_i * N(p_i/6) * e_i (mod P), e_i the idempotent of p_i, so the family
-    is every signed sum of m fixed components.  Members come back sorted by
-    residue.
+    is every signed sum of m fixed components.
     """
     ps = sorted(primes)
     m = len(ps)
@@ -192,14 +185,14 @@ def crt_family(primes: Sequence[int]) -> ProgressionFamily:
         if q < 5 or not is_prime(q):
             raise DomainError(f"{q} is not a prime >= 5")
     modulus = math.prod(ps)
-    signs: list[tuple[str, ...]] = [()]
+    signs = [""]
     sums = [0]
     for q in ps:  # each prime doubles both lists, + before -
         rest = modulus // q
         c = nsix(q) * rest * pow(rest, -1, q)  # N(q/6) * e_q
-        signs = [sg + (s,) for sg in signs for s in "+-"]
+        signs = [sg + s for sg in signs for s in "+-"]
         sums = [r + v for r in sums for v in (c, -c)]
-    members = sorted(map(FamilyMember, signs, (r % modulus for r in sums)), key=lambda fm: fm.residue)
+    members = sorted(zip(signs, (r % modulus for r in sums)), key=itemgetter(1))
     return ProgressionFamily(primes=tuple(ps), modulus=modulus, members=tuple(members))
 
 
@@ -230,34 +223,30 @@ class NestedForm:
         return f"{self.outer}*({expr}) {sign} {abs(self.offset)}"
 
 
-def nested_form(
-    primes: Sequence[int], signs: Sequence[str], residue: int, outer_index: int = 0
-) -> NestedForm:
-    """Re-express a family member with the chosen prime outermost.
+def nested_form(family: ProgressionFamily, index: int, outer: int) -> NestedForm:
+    """The nested form of family.members[index] with the prime outer outermost.
 
-    The remaining primes keep their order; the coefficients are the mixed-radix
-    digits of (residue - offset) / outer, so evaluate(0) reproduces residue.
+    The remaining primes keep their ascending order; the coefficients are the
+    mixed-radix digits of (residue - offset) / outer, so evaluate(0) reproduces
+    the residue.  A member of its family needs no check of its signs.
     """
-    ps = list(primes)
-    sg = list(signs)
-    if len(ps) != len(sg) or len(ps) < 2:
-        raise DomainError("nested form needs at least two primes with matching signs")
-    if not 0 <= outer_index < len(ps):
-        raise DomainError(f"outer_index {outer_index} out of range")
-    for q, s in zip(ps, sg):
-        if s not in SIGN_VALUE:
-            raise DomainError(f"bad sign {s!r}")
-        if residue % q != (SIGN_VALUE[s] * nsix(q)) % q:
-            raise DomainError(f"residue {residue} is not {s}N({q}/6) (mod {q})")
-    outer = ps[outer_index]
-    offset = SIGN_VALUE[sg[outer_index]] * nsix(outer)
+    ps = family.primes
+    if len(ps) < 2:
+        raise DomainError(f"nested form needs a family of at least two primes, got {len(ps)}")
+    if outer not in ps:
+        raise DomainError(f"{outer} is not one of the family primes")
+    if not 0 <= index < len(family.members):
+        raise DomainError(f"member index {index} out of range")
+    signs, residue = family.members[index]
+    k = ps.index(outer)
+    offset = nsix(outer) if signs[k] == "+" else -nsix(outer)
     body = (residue - offset) // outer
-    rest = [q for i, q in enumerate(ps) if i != outer_index]
+    *rest, last = ps[:k] + ps[k + 1 :]
     inner: list[tuple[int, int]] = []
-    for q in rest[:-1]:
-        inner.append((q, body % q))
-        body //= q
-    inner.append((rest[-1], body))
+    for q in rest:
+        body, digit = divmod(body, q)
+        inner.append((q, digit))
+    inner.append((last, body))
     return NestedForm(outer=outer, offset=offset, inner=tuple(inner))
 
 

@@ -19,7 +19,9 @@ from twinsieve.classify import (
     TWIN_RANK,
     Classification,
 )
+from twinsieve.errors import DomainError
 from twinsieve.oracle import sieve_segment
+from twinsieve.progressions import NestedForm
 
 
 def slow_smallest_prime_factor(n: int) -> int:
@@ -63,6 +65,37 @@ def slow_rm_product(R0: int, M: int, tail_primes: list[int]) -> Fraction:
         den_tail *= q
     tail = Fraction(num_tail, den_tail)
     return R0 * tail + M * (1 - tail)
+
+
+SIGN_VALUE = {"+": 1, "-": -1}
+
+
+def slow_nested_form(primes, signs, residue: int, outer_index: int = 0) -> NestedForm:
+    """A residue re-expressed with primes[outer_index] outermost, each sign and congruence checked first.
+
+    The per-member form nested_form had before it read a member of its family.
+    """
+    ps = list(primes)
+    sg = list(signs)
+    if len(ps) != len(sg) or len(ps) < 2:
+        raise DomainError("nested form needs at least two primes with matching signs")
+    if not 0 <= outer_index < len(ps):
+        raise DomainError(f"outer_index {outer_index} out of range")
+    for q, s in zip(ps, sg):
+        if s not in SIGN_VALUE:
+            raise DomainError(f"bad sign {s!r}")
+        if residue % q != (SIGN_VALUE[s] * nsix(q)) % q:
+            raise DomainError(f"residue {residue} is not {s}N({q}/6) (mod {q})")
+    outer = ps[outer_index]
+    offset = SIGN_VALUE[sg[outer_index]] * nsix(outer)
+    body = (residue - offset) // outer
+    rest = [q for i, q in enumerate(ps) if i != outer_index]
+    inner: list[tuple[int, int]] = []
+    for q in rest[:-1]:
+        inner.append((q, body % q))
+        body //= q
+    inner.append((rest[-1], body))
+    return NestedForm(outer=outer, offset=offset, inner=tuple(inner))
 
 
 def slow_classify(m: int) -> Classification:
@@ -130,14 +163,14 @@ REMNANTS_61_BELOW_748 = [
 ]
 
 # The eight simultaneous non-rank residues of {5, 7, 11} mod 385, keyed by the
-# sign vector (s5, s7, s11); includes the worked member 64 = (-,+,-).
+# signs s5 s7 s11; includes the worked member 64 = "-+-".
 TRIPLE_FAMILY_5_7_11 = {
-    ("-", "+", "-"): 64,
-    ("-", "+", "+"): 134,
-    ("+", "+", "-"): 141,
-    ("-", "-", "-"): 174,
-    ("+", "+", "+"): 211,
-    ("-", "-", "+"): 244,
-    ("+", "-", "-"): 251,
-    ("+", "-", "+"): 321,
+    "-+-": 64,
+    "-++": 134,
+    "++-": 141,
+    "---": 174,
+    "+++": 211,
+    "--+": 244,
+    "+--": 251,
+    "+-+": 321,
 }

@@ -153,11 +153,11 @@ def test_criterion_5_progression_families():
                 v = r + fam.modulus  # representative past every n = 0 offset
                 if all(v % q in (nsix(q), q - nsix(q)) for q in primes):
                     hits.append(r)
-            assert hits == [fm.residue for fm in fam.members]
-    pair = {fm.signs: fm.residue for fm in crt_family([5, 11]).members}
-    assert pair[("-", "-")] == 9
-    triple = {fm.signs: fm.residue for fm in crt_family([5, 7, 11]).members}
-    assert triple[("-", "+", "-")] == 64
+            assert hits == [residue for _, residue in fam.members]
+    pair = dict(crt_family([5, 11]).members)
+    assert pair["--"] == 9
+    triple = dict(crt_family([5, 7, 11]).members)
+    assert triple["-+-"] == 64
     assert triple == TRIPLE_FAMILY_5_7_11
     print("criterion 5 PASS: 2^m families match brute-force period scans for all subsets of {5,7,11,13}")
 

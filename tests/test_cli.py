@@ -20,10 +20,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def loads_strict(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which strict parsers reject."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def run_json(capsys, *argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    return json.loads(out)
+    return loads_strict(out)
 
 
 class TestEnvelope:
@@ -107,13 +116,13 @@ class TestCommands:
 
     def test_verify(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--limit", "1000")
-        env = json.loads(out)
+        env = loads_strict(out)
         assert env["results"]["mismatch_count"] == "0"
         assert "verify:" in err  # throughput goes to stderr, not the envelope
 
     def test_bench(self, capsys):
         env = run_json(capsys, "bench", "--limit", "1000")
-        assert env["results"]["pi2"] == str(json.loads(run_cli(capsys, "twins", "--limit", "166")[1])["results"]["count"])
+        assert env["results"]["pi2"] == str(loads_strict(run_cli(capsys, "twins", "--limit", "166")[1])["results"]["count"])
 
 
 class TestCsv:
@@ -191,13 +200,13 @@ class TestErrorsAndOutput:
         target = tmp_path / "env.json"
         code, out, _ = run_cli(capsys, "classify", "5", "--out", str(target))
         assert code == 0 and out == ""
-        assert json.loads(target.read_text())["results"]["verdict"] == "twin_rank"
+        assert loads_strict(target.read_text())["results"]["verdict"] == "twin_rank"
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "env.json"
         code, out, _ = run_cli(capsys, "--out", str(target), "classify", "5")
         assert code == 0 and out == ""
-        env = json.loads(target.read_text())
+        env = loads_strict(target.read_text())
         assert env["results"]["verdict"] == "twin_rank"
 
     def test_out_file_beside_a_tmp_directory(self, tmp_path, capsys):
@@ -205,7 +214,7 @@ class TestErrorsAndOutput:
         (tmp_path / "env.json.tmp").mkdir()
         code, out, _ = run_cli(capsys, "--out", str(target), "classify", "5")
         assert code == 0 and out == ""
-        assert json.loads(target.read_text())["results"]["verdict"] == "twin_rank"
+        assert loads_strict(target.read_text())["results"]["verdict"] == "twin_rank"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["env.json", "env.json.tmp"]
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
@@ -231,13 +240,13 @@ class TestErrorsAndOutput:
         # The envelope outgrows the pipe buffer, so the write fails even if the
         # child starts writing before the read end is closed.
         src = Path(cli.__file__).resolve().parents[1]
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "twinsieve.cli", "twins", "--limit", "200000"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": str(src)},
-        )
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait() == 1
+        ) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait() == 1
         assert err == "twinsieve twins: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -282,6 +291,22 @@ class TestErrorsAndOutput:
         code, out, err = run_cli(capsys, "c2", "--tol", tol)
         assert (code, out) == (1, "")
         assert err == f"twinsieve c2: tolerance {tol} needs primes up to {cutoff}, above 6666666673\n"
+
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "1e-13"])
+    def test_c2_tolerance_outside_domain_exits_1(self, capsys, tol):
+        code, out, err = run_cli(capsys, "c2", f"--tol={tol}")
+        assert (code, out) == (1, "")
+        assert err == f"twinsieve c2: tolerance must be finite and >= 1e-12, got {float(tol)}\n"
+
+    def test_strict_parse_refuses_infinity(self):
+        with pytest.raises(ValueError, match="Infinity is not RFC 8259 JSON"):
+            loads_strict('{"tol": Infinity}')
+
+    @pytest.mark.parametrize("nested", ["7", "4"])
+    def test_family_nested_outside_the_family_exits_1(self, capsys, nested):
+        code, out, err = run_cli(capsys, "family", "--primes", "5,11", "--nested", nested)
+        assert (code, out) == (1, "")
+        assert err == f"twinsieve family: {nested} is not one of the family primes\n"
 
     def test_out_of_memory_exits_1(self, capsys, monkeypatch):
         def exhausted(level):

@@ -14,8 +14,6 @@ from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import _twin_truth
 from twinsieve.progressions import (
     REMNANTS_GUARD,
-    SIGN_VALUE,
-    FamilyMember,
     _least_parent,
     boundary_twin_ranks,
     crt_family,
@@ -33,8 +31,10 @@ from reference_lists import (
     C11_REFERENCE,
     INTRUDERS_11,
     REMNANTS_61_BELOW_748,
+    SIGN_VALUE,
     TRIPLE_FAMILY_5_7_11,
     TWIN_RANKS_TO_18,
+    slow_nested_form,
 )
 
 
@@ -73,16 +73,16 @@ def _crt_residue(primes, offsets, signs) -> int:
     return x
 
 
-def slow_family_members(primes) -> tuple[FamilyMember, ...]:
-    """Every sign vector's residue by its own CRT, the first prime's sign most significant, sorted by residue."""
+def slow_family_members(primes) -> tuple[tuple[str, int], ...]:
+    """Every sign string's residue by its own CRT, the first prime's sign most significant, sorted by residue."""
     ps = sorted(primes)
     m = len(ps)
     offsets = [nsix(q) for q in ps]
     members = []
     for mask in range(1 << m):
-        signs = tuple("-" if mask & (1 << (m - 1 - i)) else "+" for i in range(m))
-        members.append(FamilyMember(signs, _crt_residue(ps, offsets, [SIGN_VALUE[s] for s in signs])))
-    return tuple(sorted(members, key=lambda fm: fm.residue))
+        signs = "".join("-" if mask & (1 << (m - 1 - i)) else "+" for i in range(m))
+        members.append((signs, _crt_residue(ps, offsets, [SIGN_VALUE[s] for s in signs])))
+    return tuple(sorted(members, key=lambda member: member[1]))
 
 
 class TestLeastParent:
@@ -297,37 +297,44 @@ class TestRemnants:
 class TestCrtFamily:
     def test_pair_5_7(self):
         fam = crt_family([5, 7])
-        by_signs = {m.signs: m.residue for m in fam.members}
+        by_signs = dict(fam.members)
         assert fam.modulus == 35
-        assert by_signs[("+", "+")] == 1
-        assert by_signs[("-", "-")] == 34
+        assert by_signs["++"] == 1
+        assert by_signs["--"] == 34
 
     def test_pair_examples(self):
         cases = {
-            (5, 11): {("-", "-"): 9, ("+", "+"): 46},
-            (7, 11): {("-", "-"): 20},
-            (5, 13): {("-", "-"): 24},
-            (7, 13): {("+", "+"): 15, ("-", "-"): 76},
+            (5, 11): {"--": 9, "++": 46},
+            (7, 11): {"--": 20},
+            (5, 13): {"--": 24},
+            (7, 13): {"++": 15, "--": 76},
         }
         for primes, expected in cases.items():
-            by_signs = {m.signs: m.residue for m in crt_family(list(primes)).members}
+            by_signs = dict(crt_family(list(primes)).members)
             for signs, residue in expected.items():
                 assert by_signs[signs] == residue
 
     def test_triple_5_7_11(self):
         fam = crt_family([5, 7, 11])
-        assert {m.signs: m.residue for m in fam.members} == TRIPLE_FAMILY_5_7_11
+        assert dict(fam.members) == TRIPLE_FAMILY_5_7_11
+
+    def test_members_are_sign_string_residue_pairs(self):
+        fam = crt_family([11, 5, 7])
+        assert fam.primes == (5, 7, 11)
+        assert fam.members[0] == ("-+-", 64)
+        for signs, residue in fam.members:
+            assert type(signs) is str and type(residue) is int and len(signs) == 3
 
     def test_member_congruences_and_sorting(self):
         fam = crt_family([5, 7, 11, 13])
         assert len(fam.members) == 16
-        residues = [m.residue for m in fam.members]
+        residues = [residue for _, residue in fam.members]
         assert residues == sorted(residues)
         assert len(set(residues)) == 16
-        for m in fam.members:
-            for q, s in zip(fam.primes, m.signs):
+        for signs, residue in fam.members:
+            for q, s in zip(fam.primes, signs):
                 sign = 1 if s == "+" else -1
-                assert m.residue % q == (sign * nsix(q)) % q
+                assert residue % q == (sign * nsix(q)) % q
 
     def test_brute_force_period_scan(self):
         # A representative one period beyond the boundary values must be a
@@ -340,13 +347,13 @@ class TestCrtFamily:
                     v = r + fam.modulus
                     if all(v % q in (nsix(q), q - nsix(q)) for q in primes):
                         hits.append(r)
-                assert hits == [fm.residue for fm in fam.members]
+                assert hits == [residue for _, residue in fam.members]
 
     def test_members_classify_as_non_ranks(self):
         fam = crt_family([5, 7, 11])
-        for fm in fam.members:
+        for _, residue in fam.members:
             for n in (1, 2, 3):
-                c = classify(fm.residue + n * fam.modulus)
+                c = classify(residue + n * fam.modulus)
                 assert not c.is_twin_rank
                 assert c.parent <= 11
 
@@ -369,61 +376,93 @@ class TestCrtFamily:
         ps = primes_between(4, 79)
         fam = crt_family(ps)
         assert len(ps) == 20 and len(fam.members) == 1 << 20
-        residues = [fm.residue for fm in fam.members]
+        residues = [residue for _, residue in fam.members]
         assert all(a < b for a, b in zip(residues, residues[1:]))
         offsets = [nsix(q) for q in ps]
         rng = random.Random(20)
         for _ in range(1000):
-            signs = tuple(rng.choice("+-") for _ in ps)
+            signs = "".join(rng.choice("+-") for _ in ps)
             residue = _crt_residue(ps, offsets, [SIGN_VALUE[s] for s in signs])
             i = bisect.bisect_left(residues, residue)
-            assert fam.members[i] == FamilyMember(signs, residue)
+            assert fam.members[i] == (signs, residue)
+
+
+def _member_index(fam, signs: str) -> int:
+    return [s for s, _ in fam.members].index(signs)
 
 
 class TestNestedForm:
     def test_example_5_outer(self):
-        nf = nested_form([5, 11], ["-", "-"], 9, 0)
+        fam = crt_family([5, 11])
+        nf = nested_form(fam, _member_index(fam, "--"), 5)
         assert nf.outer == 5 and nf.offset == -1
         assert nf.inner == ((11, 2),)
         assert nf.evaluate(0) == 9
 
     def test_example_11_outer(self):
-        nf = nested_form([5, 11], ["-", "-"], 9, 1)
+        fam = crt_family([5, 11])
+        nf = nested_form(fam, _member_index(fam, "--"), 11)
         assert nf.outer == 11 and nf.offset == -2
         assert nf.inner == ((5, 1),)
         assert nf.evaluate(0) == 9
 
     def test_plus_plus_zero_coefficient(self):
-        nf = nested_form([5, 7], ["+", "+"], 1, 0)
+        fam = crt_family([5, 7])
+        nf = nested_form(fam, _member_index(fam, "++"), 5)
         assert nf.inner == ((7, 0),) and nf.offset == 1
         assert nf.evaluate(2) == 1 + 2 * 35
 
     def test_top_of_period(self):
-        nf = nested_form([5, 7], ["-", "-"], 34, 0)
+        fam = crt_family([5, 7])
+        nf = nested_form(fam, _member_index(fam, "--"), 5)
         assert nf.inner == ((7, 7),)
         assert nf.evaluate(0) == 34
 
     def test_triple_member(self):
-        nf = nested_form([5, 7, 11], ["-", "+", "-"], 64, 0)
+        fam = crt_family([5, 7, 11])
+        nf = nested_form(fam, _member_index(fam, "-+-"), 5)
         assert nf.outer == 5 and nf.offset == -1
         assert nf.evaluate(0) == 64
         assert nf.evaluate(1) == 64 + 385
 
     def test_every_member_every_outer(self):
         fam = crt_family([5, 7, 11, 13])
-        for fm in fam.members:
-            for i in range(4):
-                nf = nested_form(fam.primes, fm.signs, fm.residue, i)
-                assert nf.evaluate(0) == fm.residue
-                assert nf.evaluate(3) == fm.residue + 3 * fam.modulus
+        for i, (_, residue) in enumerate(fam.members):
+            for q in fam.primes:
+                nf = nested_form(fam, i, q)
+                assert nf.evaluate(0) == residue
+                assert nf.evaluate(3) == residue + 3 * fam.modulus
 
-    def test_inconsistent_member_rejected(self):
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(primes_between(4, 97)), min_size=2, max_size=8, unique=True))
+    def test_equals_the_per_member_reference(self, primes):
+        fam = crt_family(primes)
+        for i, (signs, residue) in enumerate(fam.members):
+            for k, q in enumerate(fam.primes):
+                assert nested_form(fam, i, q) == slow_nested_form(fam.primes, signs, residue, k)
+
+    def test_reference_rejects_inconsistent_member(self):
+        # The reference re-checks a free-standing member; a family's own members need no check.
         with pytest.raises(DomainError):
-            nested_form([5, 11], ["-", "-"], 10, 0)
+            slow_nested_form([5, 11], ["-", "-"], 10, 0)
         with pytest.raises(DomainError):
-            nested_form([5], ["-"], 4, 0)
+            slow_nested_form([5], ["-"], 4, 0)
         with pytest.raises(DomainError):
-            nested_form([5, 11], ["-", "-"], 9, 2)
+            slow_nested_form([5, 11], ["-", "-"], 9, 2)
+
+    def test_family_of_one_prime_refused(self):
+        with pytest.raises(DomainError, match="at least two primes"):
+            nested_form(crt_family([5]), 0, 5)
+
+    @pytest.mark.parametrize("outer", [7, 3, 4, 0])
+    def test_outer_not_a_family_prime_refused(self, outer):
+        with pytest.raises(DomainError, match=f"^{outer} is not one of the family primes$"):
+            nested_form(crt_family([5, 11]), 0, outer)
+
+    @pytest.mark.parametrize("index", [-1, 4, 5])
+    def test_index_out_of_range_refused(self, index):
+        with pytest.raises(DomainError, match=f"^member index {index} out of range$"):
+            nested_form(crt_family([5, 11]), index, 5)
 
 
 class TestGapPattern:
