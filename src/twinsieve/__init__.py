@@ -40,7 +40,6 @@ from .oracle import (
     verify_classify,
 )
 from .progressions import (
-    NestedForm,
     ProgressionFamily,
     RemnantReport,
     ResidueSet,

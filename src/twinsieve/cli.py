@@ -188,8 +188,8 @@ def _cmd_family(args):
     members = [{"signs": signs, "residue": residue} for signs, residue in fam.members]
     if args.nested is not None:
         header.append("nested")
-        for i, entry in enumerate(members):
-            entry["nested"] = str(nested_form(fam, i, args.nested))
+        for entry, text in zip(members, nested_form(fam, args.nested)):
+            entry["nested"] = text
     results = {"primes": fam.primes, "modulus": fam.modulus, "members": members}
     return results, header, [[m[k] for k in header] for m in members]
 
@@ -203,7 +203,7 @@ def _cmd_legendre(args):
 
 
 def _cmd_mainterm(args):
-    rep = main_term(args.level, workers=args.workers)
+    rep = main_term(args.level)
     return _one_row({
         "level": rep.p_j,
         "x": rep.x,

@@ -21,11 +21,17 @@ from .oracle import DEFAULT_CEILING, pi2_exact
 from .parallel import parallel_map, pool_size
 
 EULER_GAMMA = 0.5772156649015329
+# Largest sieve level counts_row accepts, checked before any sieving.  On a
+# 2-vCPU host counts --level 999983, the last level below it, takes 58.7 s at
+# 46 MB, 27.5 s of it in counts_row; near 10^9 the level's primes alone would
+# be a Python list of several GB.
+LEVEL_GUARD = 10**6
 # Largest x = L - M for which the squarefree terms are generated.  On a 2-vCPU
 # host, legendre --level 23 (x = 37,182,005) peaks at 846 MB in 15-17 s; the next
 # level's x, 1,078,282,045, is 29 times larger.  main_term also sums one exact
-# Fraction per term: mainterm --level 19 (x = 1,616,527) takes 112 s at
-# 109 MB, 35 s of it in main_term (c2 aside), the rest in the exact envelope.
+# Fraction per term: mainterm --level 19 (x = 1,616,527) takes 124 s at
+# 109 MB on a slow stretch of the host, 33 s of it in main_term (c2 aside),
+# the rest in the exact envelope.
 LEGENDRE_GUARD = 4 * 10**7
 MAINTERM_GUARD = 2 * 10**6
 # Largest prime cutoff of the truncated c2 product, the one tolerance 1e-10
@@ -72,9 +78,11 @@ class CountsRow:
 
 
 def counts_row(p_j: int) -> CountsRow:
-    """The record of one sieve level; DomainError unless p_j is a prime >= 5."""
+    """The record of one sieve level; DomainError unless p_j is a prime >= 5, CapacityError above LEVEL_GUARD."""
     if p_j < 5 or not is_prime(p_j):
         raise DomainError(f"sieve level must be a prime >= 5, got {p_j}")
+    if p_j > LEVEL_GUARD:
+        raise CapacityError(f"sieve level {p_j} exceeds {LEVEL_GUARD}")
     levels = primes_between(4, p_j)
     L = math.prod(levels)
     R = math.prod(q - 2 for q in levels)
@@ -201,7 +209,7 @@ class MainTermReport:
     asymptote: float
 
 
-def main_term(p_j: int, *, workers: int = 1) -> MainTermReport:
+def main_term(p_j: int) -> MainTermReport:
     """Exact-rational main term at level p_j, both forms, with the asymptote."""
     row = counts_row(p_j)
     if p_j < 7:
@@ -211,16 +219,17 @@ def main_term(p_j: int, *, workers: int = 1) -> MainTermReport:
         raise CapacityError(f"x = {x} at level {p_j} exceeds {MAINTERM_GUARD}")
     terms = _ie_terms(p_j, x)
     rm_sum = _tree_sum([Fraction(R0)] + [Fraction((-2) ** nu * x, n) for n, nu in terms], operator.add)
-    estimate = R0 + _ie_floor_sum(terms, x, workers)
+    estimate = R0 + _ie_floor_sum(terms, x)
 
     # L * prod_{5<=q<=x} (q-2)/q = R0 * tail, tail the product over p_j < q <= x,
     # multiplied out as two product trees and kept as an unreduced integer pair
-    # until one Fraction normalization.
+    # until one Fraction normalization.  R0 * tail + M * (1 - tail) is taken as
+    # M + (R0 - M) * tail, the same reduced Fraction with no Fraction + Fraction
+    # on the tail's denominator (2.3 million bits, 7.6 s of gcds, at level 19).
     tail_primes = primes_between(p_j, x)
     num_tail = _tree_sum([q - 2 for q in tail_primes], operator.mul)
     den_tail = _tree_sum(tail_primes, operator.mul)
-    tail = Fraction(num_tail, den_tail)
-    rm_product = R0 * tail + row.M * (1 - tail)
+    rm_product = row.M + (R0 - row.M) * Fraction(num_tail, den_tail)
 
     return MainTermReport(
         p_j=p_j,

@@ -196,58 +196,36 @@ def crt_family(primes: Sequence[int]) -> ProgressionFamily:
     return ProgressionFamily(primes=tuple(ps), modulus=modulus, members=tuple(members))
 
 
-@dataclass(frozen=True)
-class NestedForm:
-    """Progression written as outer*(q1*(q2*(...*(qk*n + r_k)...) + r_2) + r_1) + offset.
+def nested_form(family: ProgressionFamily, outer: int) -> tuple[str, ...]:
+    """Every member of family as text with the prime outer outermost, in member order.
 
-    offset is the signed N(outer/6).  evaluate(n) equals residue + modulus*n;
-    the innermost coefficient may equal its own radix when the residue sits at
-    the top of the period.
-    """
-
-    outer: int
-    offset: int
-    inner: tuple[tuple[int, int], ...]
-
-    def evaluate(self, n: int) -> int:
-        acc = n
-        for q, r in reversed(self.inner):
-            acc = q * acc + r
-        return self.outer * acc + self.offset
-
-    def __str__(self) -> str:
-        expr = "n"
-        for q, r in reversed(self.inner):
-            expr = f"{q}*({expr}) + {r}" if expr != "n" else f"{q}*n + {r}"
-        sign = "+" if self.offset >= 0 else "-"
-        return f"{self.outer}*({expr}) {sign} {abs(self.offset)}"
-
-
-def nested_form(family: ProgressionFamily, index: int, outer: int) -> NestedForm:
-    """The nested form of family.members[index] with the prime outer outermost.
-
-    The remaining primes keep their ascending order; the coefficients are the
-    mixed-radix digits of (residue - offset) / outer, so evaluate(0) reproduces
-    the residue.  A member of its family needs no check of its signs.
+    A member reads outer*(q1*(q2*(...*(qk*n + r_k)...) + r_2) + r_1) +- N(outer/6),
+    the remaining primes ascending, its coefficients the mixed-radix digits of
+    (residue -+ N(outer/6)) / outer, so n = 0 gives the residue; the innermost
+    coefficient may equal its own radix when the residue sits at the top of the
+    period.  Only the digits and the sign change from member to member, so one
+    template serves the whole family.
     """
     ps = family.primes
     if len(ps) < 2:
         raise DomainError(f"nested form needs a family of at least two primes, got {len(ps)}")
     if outer not in ps:
         raise DomainError(f"{outer} is not one of the family primes")
-    if not 0 <= index < len(family.members):
-        raise DomainError(f"member index {index} out of range")
-    signs, residue = family.members[index]
     k = ps.index(outer)
-    offset = nsix(outer) if signs[k] == "+" else -nsix(outer)
-    body = (residue - offset) // outer
     *rest, last = ps[:k] + ps[k + 1 :]
-    inner: list[tuple[int, int]] = []
-    for q in rest:
-        body, digit = divmod(body, q)
-        inner.append((q, digit))
-    inner.append((last, body))
-    return NestedForm(outer=outer, offset=offset, inner=tuple(inner))
+    off = nsix(outer)
+    template = (f"{outer}*(" + "".join(f"{q}*(" for q in rest) + f"{last}*n + {{}}"
+                + ") + {}" * len(rest) + f") {{}} {off}")
+    texts = []
+    for signs, residue in family.members:
+        sign = signs[k]
+        body = (residue - off if sign == "+" else residue + off) // outer
+        digits = []
+        for q in rest:
+            body, digit = divmod(body, q)
+            digits.append(digit)
+        texts.append(template.format(body, *reversed(digits), sign))
+    return tuple(texts)
 
 
 def gap_pattern(p: int) -> tuple[int, int]:

@@ -21,7 +21,6 @@ from twinsieve.classify import (
 )
 from twinsieve.errors import DomainError
 from twinsieve.oracle import sieve_segment
-from twinsieve.progressions import NestedForm
 
 
 def slow_smallest_prime_factor(n: int) -> int:
@@ -70,10 +69,12 @@ def slow_rm_product(R0: int, M: int, tail_primes: list[int]) -> Fraction:
 SIGN_VALUE = {"+": 1, "-": -1}
 
 
-def slow_nested_form(primes, signs, residue: int, outer_index: int = 0) -> NestedForm:
-    """A residue re-expressed with primes[outer_index] outermost, each sign and congruence checked first.
+def slow_nested_form(primes, signs, residue: int, outer_index: int = 0) -> str:
+    """A residue's text with primes[outer_index] outermost, each sign and congruence checked first.
 
-    The per-member form nested_form had before it read a member of its family.
+    The per-member form nested_form had before it wrote a whole family from one
+    template: the coefficients are taken one prime at a time, and the text is
+    nested one level at a time from the innermost radix outwards.
     """
     ps = list(primes)
     sg = list(signs)
@@ -95,7 +96,10 @@ def slow_nested_form(primes, signs, residue: int, outer_index: int = 0) -> Neste
         inner.append((q, body % q))
         body //= q
     inner.append((rest[-1], body))
-    return NestedForm(outer=outer, offset=offset, inner=tuple(inner))
+    expr = "n"
+    for q, r in reversed(inner):
+        expr = f"{q}*({expr}) + {r}" if expr != "n" else f"{q}*n + {r}"
+    return f"{outer}*({expr}) {sg[outer_index]} {abs(offset)}"
 
 
 def slow_classify(m: int) -> Classification:

@@ -3,6 +3,7 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -56,9 +57,14 @@ class TestEnvelope:
         assert env["results"]["q"] == "6/35"
 
     def test_integers_of_any_size_are_exact(self, capsys):
-        env = run_json(capsys, "counts", "--level", "10007")
+        code, out, _ = run_cli(capsys, "counts", "--level", "10007")
+        assert code == 0
         # L has 4,301 digits, past the interpreter's default int-to-str limit.
-        assert env["results"]["L"] == str(primorial_from_5(10007))
+        assert loads_strict(out)["results"]["L"] == str(primorial_from_5(10007))
+        # The envelope bytes, frozen before counts_row gained its level guard.
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "14d399059219e50acc15dea8e555d7d6dcc18065164913829877a963d39fd35d"
+        )
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run_cli(capsys, "legendre", "--level", "7")
@@ -282,6 +288,20 @@ class TestErrorsAndOutput:
         assert (code, out) == (1, "")
         assert err == f"twinsieve {command}: x = {x} at level {level} exceeds {guard}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["counts"], ["constants"], ["legendre"], ["mainterm"], ["remnants", "--bound", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_level_above_level_guard_exits_1_before_sieving(self, capsys, monkeypatch, argv):
+        def sieved(lo, hi):
+            raise AssertionError("the level's primes were sieved above the guard")
+
+        monkeypatch.setattr(importlib.import_module("twinsieve.counting"), "primes_between", sieved)
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, argv[0], "--level", "1000003", *argv[1:])
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out) == (1, "")
+        assert err == f"twinsieve {argv[0]}: sieve level 1000003 exceeds 1000000\n"
+
     @pytest.mark.parametrize("tol,cutoff", [("1e-11", 66666666673), ("1e-12", 666666666673)])
     def test_c2_tolerance_above_guard_exits_1(self, capsys, monkeypatch, tol, cutoff):
         def sieved(cutoff):
@@ -361,6 +381,19 @@ GOLDEN_COMMANDS = [
     ["c2 --tol 1e-7"],
     ["counts --level 23"],
 ]
+
+
+def test_every_traced_name_exists(monkeypatch):
+    # perfbench/traced.py wraps these names at run time; a renamed or deleted one
+    # would otherwise surface only as a traceback inside a benchmark run.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    traced = importlib.import_module("traced")
+    missing = [
+        f"twinsieve.{module}.{attr}"
+        for module, attr in traced.SPANS
+        if not hasattr(importlib.import_module(f"twinsieve.{module}"), attr)
+    ]
+    assert missing == []
 
 
 @pytest.mark.parametrize("commands", GOLDEN_COMMANDS, ids=[c[0] for c in GOLDEN_COMMANDS])

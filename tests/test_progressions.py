@@ -391,55 +391,64 @@ def _member_index(fam, signs: str) -> int:
     return [s for s, _ in fam.members].index(signs)
 
 
+def _member_text(fam, signs: str, outer: int) -> str:
+    return nested_form(fam, outer)[_member_index(fam, signs)]
+
+
+def _evaluate(text, n: int) -> int:
+    """The printed form (text or its compiled code) read back as arithmetic, with n bound and nothing else in scope."""
+    return eval(text, {"__builtins__": {}}, {"n": n})
+
+
+FAMILY_PRIMES = st.lists(st.sampled_from(primes_between(4, 97)), min_size=2, max_size=9, unique=True)
+
+
 class TestNestedForm:
     def test_example_5_outer(self):
-        fam = crt_family([5, 11])
-        nf = nested_form(fam, _member_index(fam, "--"), 5)
-        assert nf.outer == 5 and nf.offset == -1
-        assert nf.inner == ((11, 2),)
-        assert nf.evaluate(0) == 9
+        text = _member_text(crt_family([5, 11]), "--", 5)
+        assert text == "5*(11*n + 2) - 1"
+        assert _evaluate(text, 0) == 9
 
     def test_example_11_outer(self):
-        fam = crt_family([5, 11])
-        nf = nested_form(fam, _member_index(fam, "--"), 11)
-        assert nf.outer == 11 and nf.offset == -2
-        assert nf.inner == ((5, 1),)
-        assert nf.evaluate(0) == 9
+        text = _member_text(crt_family([5, 11]), "--", 11)
+        assert text == "11*(5*n + 1) - 2"
+        assert _evaluate(text, 0) == 9
 
     def test_plus_plus_zero_coefficient(self):
-        fam = crt_family([5, 7])
-        nf = nested_form(fam, _member_index(fam, "++"), 5)
-        assert nf.inner == ((7, 0),) and nf.offset == 1
-        assert nf.evaluate(2) == 1 + 2 * 35
+        text = _member_text(crt_family([5, 7]), "++", 5)
+        assert text == "5*(7*n + 0) + 1"
+        assert _evaluate(text, 2) == 1 + 2 * 35
 
     def test_top_of_period(self):
-        fam = crt_family([5, 7])
-        nf = nested_form(fam, _member_index(fam, "--"), 5)
-        assert nf.inner == ((7, 7),)
-        assert nf.evaluate(0) == 34
+        text = _member_text(crt_family([5, 7]), "--", 5)
+        assert text == "5*(7*n + 7) - 1"
+        assert _evaluate(text, 0) == 34
 
     def test_triple_member(self):
-        fam = crt_family([5, 7, 11])
-        nf = nested_form(fam, _member_index(fam, "-+-"), 5)
-        assert nf.outer == 5 and nf.offset == -1
-        assert nf.evaluate(0) == 64
-        assert nf.evaluate(1) == 64 + 385
+        text = _member_text(crt_family([5, 7, 11]), "-+-", 5)
+        assert text == "5*(7*(11*n + 1) + 6) - 1"
+        assert _evaluate(text, 0) == 64
+        assert _evaluate(text, 1) == 64 + 385
 
-    def test_every_member_every_outer(self):
-        fam = crt_family([5, 7, 11, 13])
-        for i, (_, residue) in enumerate(fam.members):
-            for q in fam.primes:
-                nf = nested_form(fam, i, q)
-                assert nf.evaluate(0) == residue
-                assert nf.evaluate(3) == residue + 3 * fam.modulus
+    @settings(max_examples=15, deadline=None)
+    @given(FAMILY_PRIMES)
+    def test_every_member_every_outer(self, primes):
+        fam = crt_family(primes)
+        for q in fam.primes:
+            texts = nested_form(fam, q)
+            assert len(texts) == len(fam.members)
+            for text, (_, residue) in zip(texts, fam.members):
+                code = compile(text, "<nested form>", "eval")
+                assert _evaluate(code, 0) == residue
+                assert _evaluate(code, 3) == residue + 3 * fam.modulus
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.sampled_from(primes_between(4, 97)), min_size=2, max_size=8, unique=True))
+    @given(FAMILY_PRIMES)
     def test_equals_the_per_member_reference(self, primes):
         fam = crt_family(primes)
-        for i, (signs, residue) in enumerate(fam.members):
-            for k, q in enumerate(fam.primes):
-                assert nested_form(fam, i, q) == slow_nested_form(fam.primes, signs, residue, k)
+        for k, q in enumerate(fam.primes):
+            expected = [slow_nested_form(fam.primes, signs, residue, k) for signs, residue in fam.members]
+            assert list(nested_form(fam, q)) == expected
 
     def test_reference_rejects_inconsistent_member(self):
         # The reference re-checks a free-standing member; a family's own members need no check.
@@ -452,17 +461,12 @@ class TestNestedForm:
 
     def test_family_of_one_prime_refused(self):
         with pytest.raises(DomainError, match="at least two primes"):
-            nested_form(crt_family([5]), 0, 5)
+            nested_form(crt_family([5]), 5)
 
     @pytest.mark.parametrize("outer", [7, 3, 4, 0])
     def test_outer_not_a_family_prime_refused(self, outer):
         with pytest.raises(DomainError, match=f"^{outer} is not one of the family primes$"):
-            nested_form(crt_family([5, 11]), 0, outer)
-
-    @pytest.mark.parametrize("index", [-1, 4, 5])
-    def test_index_out_of_range_refused(self, index):
-        with pytest.raises(DomainError, match=f"^member index {index} out of range$"):
-            nested_form(crt_family([5, 11]), index, 5)
+            nested_form(crt_family([5, 11]), outer)
 
 
 class TestGapPattern:
