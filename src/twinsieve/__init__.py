@@ -6,9 +6,7 @@ from .arith import (
     next_prime,
     nsix,
     primes_between,
-    primorial_from_5,
     smallest_prime_factor,
-    squarefree_terms,
 )
 from .classify import (
     Classification,

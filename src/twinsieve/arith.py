@@ -1,13 +1,12 @@
-"""Exact integer primitives: primality, factoring, the engine's prime sieve, primorials, squarefree terms.
+"""Exact integer primitives: primality, factoring, the engine's prime sieve, N(p/6).
 
-Everything here is exact: primality below 2**64 is deterministic, primorials
-are arbitrary-precision, and the nearest-integer function works on rationals
-so the half-integer ambiguity is detectable instead of silently rounded.
+Everything here is exact: primality below 2**64 is deterministic, and the
+nearest-integer function works on rationals so the half-integer ambiguity is
+detectable instead of silently rounded.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from fractions import Fraction
@@ -171,13 +170,6 @@ def nsix(p: int) -> int:
     return (p + 1) // 6 if p % 6 == 5 else (p - 1) // 6
 
 
-def primorial_from_5(p: int) -> int:
-    """Product of all primes q with 5 <= q <= p, exact."""
-    if p < 5 or not is_prime(p):
-        raise DomainError(f"primorial_from_5 needs a prime >= 5, got {p}")
-    return math.prod(primes_between(4, p))
-
-
 # Trial division covers the primes below this bound; larger factors come from
 # Brent's rho, so the prime cache never grows past it on behalf of factoring.
 TRIAL_BOUND = 1 << 16
@@ -258,38 +250,3 @@ def _brent_rho(n: int, c: int) -> int:
             ys = (ys * ys + c) % n
             g = math.gcd(abs(x - ys), n)
     return g
-
-
-def squarefree_terms(generating_primes: list[int], cap: int) -> list[tuple[int, int]]:
-    """Every squarefree product n <= cap of the generating primes (n = 1 excluded), as (n, nu) pairs.
-
-    nu is the number of prime factors of n, so mu(n) = (-1)**nu.  Returned
-    ascending by n.  The generating primes must be distinct.
-    """
-    ps = sorted(generating_primes)
-    if len(set(ps)) != len(ps):
-        raise DomainError("generating primes must be distinct")
-    # Looked up as far as primes_between has sieved, by one vectorised search;
-    # Miller-Rabin past its end.
-    limit, sieved = _sieve_to(2)
-    k = bisect.bisect_right(ps, limit)
-    small = np.array(ps[:k])
-    absent = small[sieved[np.searchsorted(sieved, small).clip(max=sieved.size - 1)] != small]
-    if absent.size:
-        raise DomainError(f"{absent[0]} is not prime")
-    for q in ps[k:]:
-        if not is_prime(q):
-            raise DomainError(f"{q} is not prime")
-    out: list[tuple[int, int]] = []
-
-    def extend(start: int, n: int, nu: int) -> None:
-        for i in range(start, len(ps)):
-            v = n * ps[i]
-            if v > cap:
-                break
-            out.append((v, nu + 1))
-            extend(i + 1, v, nu + 1)
-
-    extend(0, 1, 0)
-    out.sort()
-    return out

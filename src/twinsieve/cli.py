@@ -131,7 +131,8 @@ def _store_cached_constants(cache_dir: str, level: int, modulus: int, constants)
 
 
 # Each handler returns (results_dict, csv_header, csv_rows), the rows built
-# from the values in results.
+# from the values in results; a list payload's rows are a generator, run only
+# by --emit csv.
 
 def _cmd_classify(args):
     return _one_row(_record(classify(args.m)))
@@ -140,14 +141,14 @@ def _cmd_classify(args):
 def _cmd_twins(args):
     stream = twin_ranks_up_to(args.limit, ceiling=args.ceiling)
     results = {**_record(stream), "count": len(stream.ranks)}
-    return results, ["rank"], [[m] for m in results["ranks"]]
+    return results, ["rank"], ([m] for m in results["ranks"])
 
 
 def _cmd_nonranks(args):
     header = ["value", "n", "sign"]
     terms = [{k: getattr(t, k) for k in header} for t in nonranks_of(args.prime, args.limit)]
     results = {"prime": args.prime, "limit": args.limit, "count": len(terms), "terms": terms}
-    return results, header, [[t[k] for k in header] for t in terms]
+    return results, header, ([t[k] for k in header] for t in terms)
 
 
 def _cmd_constants(args):
@@ -160,7 +161,7 @@ def _cmd_constants(args):
         if args.cache_dir:
             _store_cached_constants(args.cache_dir, args.level, modulus, constants)
     results = {"level": args.level, "modulus": modulus, "count": len(constants), "constants": constants}
-    return results, ["constant"], [[c] for c in constants]
+    return results, ["constant"], ([c] for c in constants)
 
 
 def _cmd_remnants(args):
@@ -175,10 +176,10 @@ def _cmd_remnants(args):
         "intruders": [{"value": v, "parent": q} for v, q in rep.intruders],
     }
     parent = dict(rep.intruders)
-    rows = []
-    for v in rep.remnants:
-        kind = "front_twin_rank" if v < rep.front_bound else ("intruder" if v in parent else "twin_rank")
-        rows.append([v, kind, parent.get(v)])
+    rows = (
+        [v, "front_twin_rank" if v < rep.front_bound else ("intruder" if v in parent else "twin_rank"), parent.get(v)]
+        for v in rep.remnants
+    )
     return results, ["value", "kind", "parent"], rows
 
 
@@ -191,7 +192,7 @@ def _cmd_family(args):
         for entry, text in zip(members, nested_form(fam, args.nested)):
             entry["nested"] = text
     results = {"primes": fam.primes, "modulus": fam.modulus, "members": members}
-    return results, header, [[m[k] for k in header] for m in members]
+    return results, header, ([m[k] for k in header] for m in members)
 
 
 def _cmd_counts(args):

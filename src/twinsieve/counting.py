@@ -15,25 +15,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import SPAN, is_prime, next_prime, odd_prime_blocks, primes_between, squarefree_terms
+from .arith import SPAN, is_prime, next_prime, odd_prime_blocks, primes_between
 from .errors import CapacityError, DomainError
 from .oracle import DEFAULT_CEILING, pi2_exact
 from .parallel import parallel_map, pool_size
 
 EULER_GAMMA = 0.5772156649015329
 # Largest sieve level counts_row accepts, checked before any sieving.  On a
-# 2-vCPU host counts --level 999983, the last level below it, takes 58.7 s at
-# 46 MB, 27.5 s of it in counts_row; near 10^9 the level's primes alone would
-# be a Python list of several GB.
+# 2-vCPU host counts --level 999983, the last level below it, takes 34.0 s at
+# 45 MB, 6.2 s of it in counts_row (51.1 s and 24.3 s with left-to-right
+# products), the rest turning the envelope's integers into decimal; near 10^9
+# the level's primes alone would be a Python list of several GB.
 LEVEL_GUARD = 10**6
-# Largest x = L - M for which the squarefree terms are generated.  On a 2-vCPU
-# host, legendre --level 23 (x = 37,182,005) peaks at 846 MB in 15-17 s; the next
-# level's x, 1,078,282,045, is 29 times larger.  main_term also sums one exact
-# Fraction per term: mainterm --level 19 (x = 1,616,527) takes 124 s at
-# 109 MB on a slow stretch of the host, 33 s of it in main_term (c2 aside),
-# the rest in the exact envelope.
-LEGENDRE_GUARD = 4 * 10**7
-MAINTERM_GUARD = 2 * 10**6
+# Largest levels legendre_pi2 and main_term accept, checked before the level is
+# built.  legendre --level 23 (x = 37,182,005) peaks at 784 MB in 15.3 s; level
+# 29's x, 1,078,282,045, is 29 times larger.  main_term also sums one exact
+# Fraction per squarefree term: mainterm --level 19 (x = 1,616,527) takes 111 s
+# at 113 MB, 32 s of it in main_term (c2 aside), the rest in the exact
+# envelope; level 23 would carry denominators of tens of millions of bits.
+LEGENDRE_GUARD = 23
+MAINTERM_GUARD = 19
 # Largest prime cutoff of the truncated c2 product, the one tolerance 1e-10
 # needs: c2 --tol 1e-10 takes 7.7 s at 39 MB on a 2-core host, its blocks split
 # over both cores (14.4 s in one process), and each tenfold tightening costs
@@ -77,26 +78,43 @@ class CountsRow:
         return self.L - self.M
 
 
-def counts_row(p_j: int) -> CountsRow:
-    """The record of one sieve level; DomainError unless p_j is a prime >= 5, CapacityError above LEVEL_GUARD."""
+def check_level(p_j: int, name: str = "", least: int = 5, most: int = LEVEL_GUARD) -> None:
+    """Refuse a level before any of its primes are sieved.
+
+    DomainError unless p_j is a prime >= 5, CapacityError above LEVEL_GUARD;
+    then, for the caller name, DomainError below least and CapacityError above most.
+    """
     if p_j < 5 or not is_prime(p_j):
         raise DomainError(f"sieve level must be a prime >= 5, got {p_j}")
     if p_j > LEVEL_GUARD:
         raise CapacityError(f"sieve level {p_j} exceeds {LEVEL_GUARD}")
+    if p_j < least:
+        raise DomainError(f"{name} needs a level >= {least}, got {p_j}")
+    if p_j > most:
+        raise CapacityError(f"{name} level {p_j} exceeds {most}")
+
+
+def counts_row(p_j: int) -> CountsRow:
+    """The record of one sieve level; DomainError unless p_j is a prime >= 5, CapacityError above LEVEL_GUARD.
+
+    L and R are product trees over the level's primes, and the three fractions
+    come from the one reduced x_frac = R/L: q = x_frac * 2/(p_j - 2) and
+    Q = 1 - x_frac take their gcds against small operands only.
+    """
+    check_level(p_j)
     levels = primes_between(4, p_j)
-    L = math.prod(levels)
-    R = math.prod(q - 2 for q in levels)
-    G = 2 * math.prod(q - 2 for q in levels[:-1])
-    S = L - R
+    L = _tree_sum(levels, operator.mul)
+    R = _tree_sum([q - 2 for q in levels], operator.mul)
+    x_frac = Fraction(R, L)
     return CountsRow(
         p_j=p_j,
         L=L,
-        G=G,
-        q=Fraction(G, L),
-        S=S,
-        Q=Fraction(S, L),
+        G=2 * R // (p_j - 2),
+        q=x_frac * Fraction(2, p_j - 2),
+        S=L - R,
+        Q=1 - x_frac,
         R=R,
-        x_frac=Fraction(R, L),
+        x_frac=x_frac,
     )
 
 
@@ -109,9 +127,26 @@ def m_bound(p_next: int) -> int:
     return (p_next * p_next - 1) // 6
 
 
-def _ie_terms(p_j: int, x: int) -> list[tuple[int, int]]:
-    """Squarefree products n <= x of the primes in (p_j, x], as (n, nu) pairs."""
-    return squarefree_terms(primes_between(p_j, x), x)
+def squarefree_terms(tail_primes: list[int], x: int) -> list[tuple[int, int]]:
+    """Every squarefree product n <= x of the ascending distinct tail_primes (n = 1 excluded), as (n, nu) pairs.
+
+    nu is the number of prime factors of n, so mu(n) = (-1)**nu.  Returned
+    ascending by n.  The callers pass primes_between(p_j, x), the primes above
+    the level, so no prime is checked again here.
+    """
+    out: list[tuple[int, int]] = []
+
+    def extend(start: int, n: int, nu: int) -> None:
+        for i in range(start, len(tail_primes)):
+            v = n * tail_primes[i]
+            if v > x:
+                break
+            out.append((v, nu + 1))
+            extend(i + 1, v, nu + 1)
+
+    extend(0, 1, 0)
+    out.sort()
+    return out
 
 
 def _ie_floor_sum(terms: list[tuple[int, int]], x: int, workers: int = 1) -> int:
@@ -166,13 +201,10 @@ def legendre_pi2(
     The two oracle counts answer the two readings of what is estimated: twin
     ranks up to x (pi2 of 6x+1) and twin ranks in the whole period [1, L].
     """
+    check_level(p_j, "legendre_pi2", 7, LEGENDRE_GUARD)
     row = counts_row(p_j)
-    if p_j < 7:
-        raise DomainError(f"legendre_pi2 needs a level >= 7, got {p_j}")
     x = row.x
-    if x > LEGENDRE_GUARD:
-        raise CapacityError(f"x = {x} at level {p_j} exceeds {LEGENDRE_GUARD}")
-    ie_sum = _ie_floor_sum(_ie_terms(p_j, x), x, workers)
+    ie_sum = _ie_floor_sum(squarefree_terms(primes_between(p_j, x), x), x, workers)
     estimate = row.R + ie_sum
 
     oracle_pi2 = pi2_exact(6 * x + 1, ceiling=ceiling) if 6 * x + 1 <= ceiling else None
@@ -211,13 +243,11 @@ class MainTermReport:
 
 def main_term(p_j: int) -> MainTermReport:
     """Exact-rational main term at level p_j, both forms, with the asymptote."""
+    check_level(p_j, "main_term", 7, MAINTERM_GUARD)
     row = counts_row(p_j)
-    if p_j < 7:
-        raise DomainError(f"main_term needs a level >= 7, got {p_j}")
     R0, x = row.R, row.x
-    if x > MAINTERM_GUARD:
-        raise CapacityError(f"x = {x} at level {p_j} exceeds {MAINTERM_GUARD}")
-    terms = _ie_terms(p_j, x)
+    tail_primes = primes_between(p_j, x)
+    terms = squarefree_terms(tail_primes, x)
     rm_sum = _tree_sum([Fraction(R0)] + [Fraction((-2) ** nu * x, n) for n, nu in terms], operator.add)
     estimate = R0 + _ie_floor_sum(terms, x)
 
@@ -226,7 +256,6 @@ def main_term(p_j: int) -> MainTermReport:
     # until one Fraction normalization.  R0 * tail + M * (1 - tail) is taken as
     # M + (R0 - M) * tail, the same reduced Fraction with no Fraction + Fraction
     # on the tail's denominator (2.3 million bits, 7.6 s of gcds, at level 19).
-    tail_primes = primes_between(p_j, x)
     num_tail = _tree_sum([q - 2 for q in tail_primes], operator.mul)
     den_tail = _tree_sum(tail_primes, operator.mul)
     rm_product = row.M + (R0 - row.M) * Fraction(num_tail, den_tail)

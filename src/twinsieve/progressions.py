@@ -18,12 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import is_prime, nsix, primes_between
+from .arith import is_prime, next_prime, nsix, primes_between
 from .classify import classify
-from .counting import counts_row
+from .counting import check_level, counts_row, m_bound
 from .errors import CapacityError, DomainError
 
 MATERIALIZE_GUARD = 10**8
+# Largest level residue_set materializes: C_23 holds 7,952,175 residues and
+# C_29 214,708,725, above MATERIALIZE_GUARD.
+RESIDUE_GUARD = 23
 REMNANTS_GUARD = 10**7
 
 
@@ -64,10 +67,11 @@ class ResidueSet:
 
 def residue_set(p: int) -> ResidueSet:
     """The admissible residue classes at level p: one period's survivors, less the n = 0 offsets."""
-    row = counts_row(p)
-    if row.R > MATERIALIZE_GUARD:
-        raise CapacityError(f"C_{p} holds {row.R} residues (> {MATERIALIZE_GUARD}); "
+    check_level(p)
+    if p > RESIDUE_GUARD:
+        raise CapacityError(f"C_{p} holds more than {MATERIALIZE_GUARD} residues above level {RESIDUE_GUARD}; "
                             "use remnants_below for interval queries")
+    row = counts_row(p)
     levels = row.primes
     keep = _least_parent(0, row.L, levels) == 0
     keep[[nsix(q) for q in levels]] = False
@@ -131,22 +135,23 @@ def remnants_below(p_sieve: int, bound: int) -> RemnantReport:
     covers the least prime factor of every composite side, so a rank's least
     parent is classify's parent: above p for an intruder, 0 for a twin rank.
     """
-    row = counts_row(p_sieve)
+    check_level(p_sieve)
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
     if bound > REMNANTS_GUARD:
         raise CapacityError(f"remnants bound {bound} exceeds {REMNANTS_GUARD}")
+    front_bound = m_bound(next_prime(p_sieve))  # the level's M, without building its period
     lp = _least_parent(1, bound, primes_between(4, max(p_sieve, math.isqrt(6 * (bound - 1) + 1))))
     if bound > 1 and (classify(bound - 1).parent or 0) != lp[-1]:  # spot-check where the prime bound is tightest
         raise RuntimeError(f"least parent of {bound - 1} disagrees with classify")
     intruder = lp > p_sieve
     remnants = np.flatnonzero(intruder | (lp == 0)) + 1
     hits = np.flatnonzero(intruder)
-    front = remnants[remnants < row.M]
+    front = remnants[remnants < front_bound]
     return RemnantReport(
         p=p_sieve,
         bound=bound,
-        front_bound=row.M,
+        front_bound=front_bound,
         remnants=tuple(remnants.tolist()),
         front_twin_ranks=tuple(front.tolist()),
         intruders=tuple(zip((hits + 1).tolist(), lp[hits].tolist())),

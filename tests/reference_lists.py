@@ -51,6 +51,15 @@ def slow_c2_partial(cutoff: int) -> float:
     return math.exp(log_sum)
 
 
+def slow_counts_fields(p: int) -> tuple:
+    """counts_row(p)'s (L, G, q, S, Q, R, x_frac), each product left to right and each fraction reduced from scratch."""
+    levels = (np.flatnonzero(~sieve_segment(5, p + 1)) + 5).tolist()
+    L = math.prod(levels)
+    R = math.prod(q - 2 for q in levels)
+    G = 2 * math.prod(q - 2 for q in levels[:-1])
+    return L, G, Fraction(G, L), L - R, Fraction(L - R, L), R, Fraction(R, L)
+
+
 def slow_rm_sum(R0: int, x: int, terms: list[tuple[int, int]]) -> Fraction:
     """main_term's exact R_M_sum = R0 + sum mu(n) 2^nu(n) x/n over (n, nu) terms, added left to right."""
     return Fraction(R0) + sum((Fraction((-1) ** nu * 2**nu * x, n) for n, nu in terms), Fraction(0))

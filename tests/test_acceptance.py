@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from twinsieve.arith import nsix, primes_between, primorial_from_5
+from twinsieve.arith import nsix, primes_between
 from twinsieve.classify import classify, twin_index
 from twinsieve.cli import main
 from twinsieve.counting import (
@@ -103,7 +103,7 @@ def test_criterion_3_counting_identities_exact():
     prev = None
     for p in levels:
         row = counts_row(p)
-        assert row.L == primorial_from_5(p)
+        assert row.L == math.prod(primes_between(4, p))
         assert row.S == row.L - row.R
         assert row.Q + row.x_frac == 1
         assert row.q == Fraction(row.G, row.L)

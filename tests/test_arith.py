@@ -13,11 +13,10 @@ from twinsieve.arith import (
     next_prime,
     nsix,
     primes_between,
-    primorial_from_5,
     smallest_prime_factor,
-    squarefree_terms,
 )
 from twinsieve.classify import classify
+from twinsieve.counting import counts_row, squarefree_terms
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import sieve_segment
 
@@ -33,22 +32,6 @@ COLD_CACHE = (1, np.empty(0, dtype=np.int64))  # the prime cache before anything
 def oracle_primes(lo: int, hi: int) -> list[int]:
     """Primes p with lo < p <= hi, for lo >= 1, from the oracle's own sieve."""
     return (np.flatnonzero(~sieve_segment(lo + 1, hi + 1)) + lo + 1).tolist()
-
-
-def reference_mobius(n: int) -> int:
-    """Independent Möbius via repeated division by the smallest factor."""
-    mu = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
 
 
 class TestIsPrime:
@@ -214,9 +197,11 @@ def test_nsix_equality_iff_twin_pair():
 
 
 class TestPrimorial:
+    """The period L(p) = 5*7*...*p of a sieve level, read from counts_row(p).L."""
+
     @pytest.mark.parametrize("p,expect", [(5, 5), (7, 35), (11, 385), (13, 5005)])
     def test_examples(self, p, expect):
-        assert primorial_from_5(p) == expect
+        assert counts_row(p).L == expect
 
     def test_multiplicative_over_consecutive_primes(self):
         prev = None
@@ -224,17 +209,17 @@ class TestPrimorial:
             if p < 5 or p > 200:
                 continue
             if prev is not None:
-                assert primorial_from_5(p) == primorial_from_5(prev) * p
+                assert counts_row(p).L == counts_row(prev).L * p
             prev = p
 
     @pytest.mark.parametrize("p", [2, 3, 4, 6])
     def test_domain(self, p):
         with pytest.raises(DomainError):
-            primorial_from_5(p)
+            counts_row(p)
 
     def test_exceeds_64_bits_without_loss(self):
         # The running product at level 89 is already wider than 64 bits.
-        v = primorial_from_5(89)
+        v = counts_row(89).L
         assert v > 1 << 64
         assert v % 89 == 0 and v % 5 == 0
 
@@ -324,65 +309,6 @@ class TestSquarefreeTerms:
 
     def test_empty_generators(self):
         assert squarefree_terms([], 100) == []
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(DomainError):
-            squarefree_terms([5, 5], 100)
-        with pytest.raises(DomainError):
-            squarefree_terms([4], 100)
-
-    def test_generators_past_the_prime_table(self):
-        # Far past the prime cache: checked by Miller-Rabin, not by growing the sieve.
-        big = 10**12 + 39
-        terms = squarefree_terms([11, big], 20 * big)
-        assert [(n, (-1) ** nu, nu) for n, nu in terms] == [(11, -1, 1), (big, -1, 1), (11 * big, 1, 2)]
-        with pytest.raises(DomainError):
-            squarefree_terms([11, 10**12 + 41], 100)
-
-    def test_composites_refused_inside_and_past_the_sieved_array(self, monkeypatch):
-        monkeypatch.setattr(arith, "_sieved", COLD_CACHE)
-        assert squarefree_terms([65521, 65537], 10) == []  # the last prime inside, the first past
-        assert arith._sieved[0] == 1 << 16
-        cases = [
-            ([11, 65535], 65535),  # 3 * 5 * 17 * 257, inside
-            ([11, 65541], 65541),  # 3 * 21847, past
-            ([65541, 65535], 65535),  # both: the least is named
-            ([1, 11], 1),
-            ([11, 10**12 + 41], 10**12 + 41),
-        ]
-        for gens, bad in cases:
-            with pytest.raises(DomainError, match=f"^{bad} is not prime$"):
-                squarefree_terms(gens, 10**10)
-        assert arith._sieved[0] == 1 << 16  # past the array by Miller-Rabin, not by regrowing it
-
-    def test_terms_divide_generator_product_and_match_mobius(self):
-        gens = [5, 7, 11, 13, 17, 19, 23, 29, 31]
-        product = math.prod(gens)
-        terms = squarefree_terms(gens, 10_000)
-        assert [n for n, _ in terms] == sorted(n for n, _ in terms)
-        assert len({n for n, _ in terms}) == len(terms)
-        for n, nu in terms:
-            assert product % n == 0
-            assert (-1) ** nu == reference_mobius(n)
-
-    def test_exhaustive_against_scan(self):
-        # Every squarefree n <= cap over the generators appears exactly once.
-        gens = [5, 7, 11]
-        cap = 400
-        expect = []
-        for n in range(2, cap + 1):
-            m = n
-            nu = 0
-            for g in gens:
-                if m % g == 0:
-                    m //= g
-                    if m % g == 0:
-                        break
-                    nu += 1
-            else:
-                if m == 1:
-                    expect.append((n, (-1) ** nu, nu))
-        assert [(n, (-1) ** nu, nu) for n, nu in squarefree_terms(gens, cap)] == expect
 
 
 def test_next_prime():

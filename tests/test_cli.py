@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from twinsieve import __version__, primorial_from_5
+from twinsieve import __version__
 from twinsieve import cli
+from twinsieve.arith import primes_between
 from twinsieve.cli import main
 
 from reference_lists import C5, C7, REMNANTS_61_BELOW_748
@@ -60,7 +62,7 @@ class TestEnvelope:
         code, out, _ = run_cli(capsys, "counts", "--level", "10007")
         assert code == 0
         # L has 4,301 digits, past the interpreter's default int-to-str limit.
-        assert loads_strict(out)["results"]["L"] == str(primorial_from_5(10007))
+        assert loads_strict(out)["results"]["L"] == str(math.prod(primes_between(4, 10007)))
         # The envelope bytes, frozen before counts_row gained its level guard.
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "14d399059219e50acc15dea8e555d7d6dcc18065164913829877a963d39fd35d"
@@ -276,17 +278,36 @@ class TestErrorsAndOutput:
         assert err == "twinsieve nonranks: 399999999999 non-ranks of 5 up to 1000000000000 exceed 1000000\n"
 
     @pytest.mark.parametrize(
-        "command,level,x,guard",
-        [("legendre", "29", 1078282045, "40000000"), ("mainterm", "23", 37182005, "2000000")],
+        "command,level,message",
+        [("legendre", "29", "legendre_pi2 level 29 exceeds 23"), ("mainterm", "23", "main_term level 23 exceeds 19")],
+        ids=["legendre", "mainterm"],
     )
-    def test_level_above_size_guard_exits_1(self, capsys, monkeypatch, command, level, x, guard):
-        def generated(p_j, x):
+    def test_level_above_size_guard_exits_1(self, capsys, monkeypatch, command, level, message):
+        def generated(tail_primes, x):
             raise AssertionError("squarefree terms were generated above the guard")
 
-        monkeypatch.setattr(importlib.import_module("twinsieve.counting"), "_ie_terms", generated)
+        monkeypatch.setattr(importlib.import_module("twinsieve.counting"), "squarefree_terms", generated)
         code, out, err = run_cli(capsys, command, "--level", level)
         assert (code, out) == (1, "")
-        assert err == f"twinsieve {command}: x = {x} at level {level} exceeds {guard}\n"
+        assert err == f"twinsieve {command}: {message}\n"
+
+    @pytest.mark.parametrize("command,message", [
+        ("legendre", "legendre_pi2 level 999983 exceeds 23"),
+        ("mainterm", "main_term level 999983 exceeds 19"),
+        ("constants", "C_999983 holds more than 100000000 residues above level 23; "
+                      "use remnants_below for interval queries"),
+    ], ids=["legendre", "mainterm", "constants"])
+    def test_level_above_command_guard_is_refused_before_it_is_built(self, capsys, monkeypatch, command, message):
+        def built(p_j):
+            raise AssertionError(f"level {p_j} was built above the command's guard")
+
+        for module in ("counting", "progressions", "cli"):
+            monkeypatch.setattr(importlib.import_module(f"twinsieve.{module}"), "counts_row", built)
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--level", "999983")
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out) == (1, "")
+        assert err == f"twinsieve {command}: {message}\n" and len(err.encode()) < 200
 
     @pytest.mark.parametrize("argv", [
         ["counts"], ["constants"], ["legendre"], ["mainterm"], ["remnants", "--bound", "10"],

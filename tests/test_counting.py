@@ -1,5 +1,6 @@
 import math
 import operator
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import twinsieve.arith as arith
 import twinsieve.counting as counting
 import twinsieve.parallel as parallel
-from twinsieve.arith import next_prime, primes_between, primorial_from_5
+from twinsieve.arith import next_prime, primes_between
 from twinsieve.counting import (
     C2_GUARD,
     LEGENDRE_GUARD,
@@ -25,10 +26,11 @@ from twinsieve.counting import (
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.progressions import residue_set
 
-from reference_lists import slow_c2_partial, slow_prime_blocks, slow_rm_product, slow_rm_sum
+from reference_lists import slow_c2_partial, slow_counts_fields, slow_prime_blocks, slow_rm_product, slow_rm_sum
 
 LEVELS_TO_113 = primes_between(4, 113)  # through the 30th prime
 LEVELS_TO_229 = primes_between(4, 229)  # through the 50th prime
+RANDOM_LEVELS = sorted(random.Random(14).sample(primes_between(4, 20_000), 8))
 
 
 def spf(n: int) -> int:
@@ -38,6 +40,22 @@ def spf(n: int) -> int:
             return d
         d += 1
     return n
+
+
+def reference_mobius(n: int) -> int:
+    """Independent Möbius via repeated division by the smallest factor."""
+    mu = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    if n > 1:
+        mu = -mu
+    return mu
 
 
 def naive_terms(p_j: int, x: int):
@@ -104,7 +122,7 @@ class TestCountsRow:
         for p in LEVELS_TO_113:
             row = counts_row(p)
             levels = primes_between(4, p)
-            assert row.L == primorial_from_5(p)
+            assert row.L == math.prod(levels)
             assert row.S == row.L - row.R
             assert row.Q + row.x_frac == 1
             assert row.q == row.Q - (0 if prev_R is None else Fraction(prev_R[1], prev_R[0]))
@@ -141,6 +159,11 @@ class TestCountsRow:
             assert row.M == m_bound(next_prime(p))
             assert row.x == row.L - row.M
 
+    @pytest.mark.parametrize("p", [*RANDOM_LEVELS, 10007])
+    def test_fields_equal_the_left_to_right_reference(self, p):
+        row = counts_row(p)
+        assert (row.L, row.G, row.q, row.S, row.Q, row.R, row.x_frac) == slow_counts_fields(p)
+
     def test_domain(self):
         with pytest.raises(DomainError, match="sieve level must be a prime >= 5, got 4"):
             counts_row(4)
@@ -155,7 +178,7 @@ class TestSupergroupSize:
 
     def test_product_form(self):
         for p in LEVELS_TO_113:
-            L = primorial_from_5(p)
+            L = math.prod(primes_between(4, p))
             prod = math.prod([Fraction(q - 2, q) for q in primes_between(4, p)], start=Fraction(1))
             assert counts_row(p).S == L * (1 - prod)
 
@@ -214,7 +237,7 @@ class TestLegendre:
     @pytest.mark.parametrize("level", [7, 11, 13])
     def test_floor_sum_against_naive_scan_at_every_worker_count(self, level):
         x = counts_row(level).x
-        terms = counting._ie_terms(level, x)
+        terms = counting.squarefree_terms(primes_between(level, x), x)
         want = naive_ie_sum(level, x)
         assert [counting._ie_floor_sum(terms, x, w) for w in (1, 2, 3, 4)] == [want] * 4
 
@@ -228,7 +251,7 @@ class TestLegendre:
         monkeypatch.setattr(counting, "parallel_map", recorded)
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
         x = counts_row(13).x
-        terms = counting._ie_terms(13, x)
+        terms = counting.squarefree_terms(primes_between(13, x), x)
         assert counting._ie_floor_sum(terms, x, 10**9) == naive_ie_sum(13, x)
         [(items, workers)] = calls
         assert len(items) == workers == 3
@@ -267,7 +290,7 @@ class TestMainTerm:
     @pytest.mark.parametrize("level", [7, 11, 13, 17])
     def test_tree_sum_equals_the_left_to_right_sum(self, level):
         rep = main_term(level)
-        terms = counting._ie_terms(level, rep.x)
+        terms = counting.squarefree_terms(primes_between(level, rep.x), rep.x)
         row = counts_row(level)
         assert rep.R_M_sum == slow_rm_sum(row.R, rep.x, terms)
         assert rep.R_M_product == slow_rm_product(row.R, row.M, primes_between(level, rep.x))
@@ -289,31 +312,71 @@ class TestMainTerm:
 
 
 class TestSizeGuards:
-    """legendre_pi2 and main_term refuse a level whose x = L - M is above their bound before any term is generated."""
+    """legendre_pi2 and main_term refuse a level above their guard before the level is built."""
 
     class Generated(Exception):
         pass
 
     @pytest.fixture(autouse=True)
     def no_terms(self, monkeypatch):
-        def generated(p_j, x):
-            raise self.Generated(p_j)
+        def generated(tail_primes, x):
+            raise self.Generated(x)
 
-        monkeypatch.setattr(counting, "_ie_terms", generated)
+        monkeypatch.setattr(counting, "squarefree_terms", generated)
 
-    def test_legendre_refuses_level_29_and_passes_level_23(self):
-        assert counts_row(23).x <= LEGENDRE_GUARD < counts_row(29).x
-        with pytest.raises(CapacityError, match=f"x = 1078282045 at level 29 exceeds {LEGENDRE_GUARD}"):
-            legendre_pi2(29)
+    @staticmethod
+    def _unbuilt(monkeypatch):
+        def built(p_j):
+            raise AssertionError(f"level {p_j} was built above the guard")
+
+        monkeypatch.setattr(counting, "counts_row", built)
+
+    def test_legendre_refuses_level_29_and_passes_level_23(self, monkeypatch):
+        assert (LEGENDRE_GUARD, next_prime(LEGENDRE_GUARD)) == (23, 29)
         with pytest.raises(self.Generated):
             legendre_pi2(23)
+        self._unbuilt(monkeypatch)
+        with pytest.raises(CapacityError, match=f"^legendre_pi2 level 29 exceeds {LEGENDRE_GUARD}$"):
+            legendre_pi2(29)
 
-    def test_main_term_refuses_level_23_and_passes_level_19(self):
-        assert counts_row(19).x <= MAINTERM_GUARD < counts_row(23).x
-        with pytest.raises(CapacityError, match=f"x = 37182005 at level 23 exceeds {MAINTERM_GUARD}"):
-            main_term(23)
+    def test_main_term_refuses_level_23_and_passes_level_19(self, monkeypatch):
+        assert (MAINTERM_GUARD, next_prime(MAINTERM_GUARD)) == (19, 23)
         with pytest.raises(self.Generated):
             main_term(19)
+        self._unbuilt(monkeypatch)
+        with pytest.raises(CapacityError, match=f"^main_term level 23 exceeds {MAINTERM_GUARD}$"):
+            main_term(23)
+
+
+class TestSquarefreeTerms:
+    def test_terms_divide_generator_product_and_match_mobius(self):
+        gens = [5, 7, 11, 13, 17, 19, 23, 29, 31]
+        product = math.prod(gens)
+        terms = counting.squarefree_terms(gens, 10_000)
+        assert [n for n, _ in terms] == sorted(n for n, _ in terms)
+        assert len({n for n, _ in terms}) == len(terms)
+        for n, nu in terms:
+            assert product % n == 0
+            assert (-1) ** nu == reference_mobius(n)
+
+    def test_exhaustive_against_scan(self):
+        # Every squarefree n <= cap over the generators appears exactly once.
+        gens = [5, 7, 11]
+        cap = 400
+        expect = []
+        for n in range(2, cap + 1):
+            m = n
+            nu = 0
+            for g in gens:
+                if m % g == 0:
+                    m //= g
+                    if m % g == 0:
+                        break
+                    nu += 1
+            else:
+                if m == 1:
+                    expect.append((n, (-1) ** nu, nu))
+        assert [(n, (-1) ** nu, nu) for n, nu in counting.squarefree_terms(gens, cap)] == expect
 
 
 class TestConstants:
