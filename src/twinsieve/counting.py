@@ -6,6 +6,7 @@ in the truncated twin-prime-constant product and the asymptote evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -22,10 +23,10 @@ from .parallel import parallel_map, pool_size
 
 EULER_GAMMA = 0.5772156649015329
 # Largest sieve level counts_row accepts, checked before any sieving.  On a
-# 2-vCPU host counts --level 999983, the last level below it, takes 34.0 s at
-# 45 MB, 6.2 s of it in counts_row (51.1 s and 24.3 s with left-to-right
-# products), the rest turning the envelope's integers into decimal; near 10^9
-# the level's primes alone would be a Python list of several GB.
+# 2-vCPU host counts --level 999983, the last level below it, takes 29 s at
+# 43 MB, 0.6-0.9 s of it in counts_row (6.2 s with one gcd of R and L, 24.3 s
+# with left-to-right products), the rest turning the envelope's integers into
+# decimal; near 10^9 the level's primes alone would be a Python list of several GB.
 LEVEL_GUARD = 10**6
 # Largest levels legendre_pi2 and main_term accept, checked before the level is
 # built.  legendre --level 23 (x = 37,182,005) peaks at 784 MB in 15.3 s; level
@@ -97,15 +98,27 @@ def check_level(p_j: int, name: str = "", least: int = 5, most: int = LEVEL_GUAR
 def counts_row(p_j: int) -> CountsRow:
     """The record of one sieve level; DomainError unless p_j is a prime >= 5, CapacityError above LEVEL_GUARD.
 
-    L and R are product trees over the level's primes, and the three fractions
-    come from the one reduced x_frac = R/L: q = x_frac * 2/(p_j - 2) and
-    Q = 1 - x_frac take their gcds against small operands only.
+    L = prod q and R = prod (q - 2) over the level's primes share the factor
+    g = gcd(R, L), and L is squarefree, so g is the product of the level
+    primes that divide some q - 2; the least-prime-factor table names them.
+    The reduced x_frac = R/L is then a product tree over R's prime factors
+    with one copy of each shared prime taken out, over a product tree of L's
+    other primes, and L and R are those trees times g: no big gcd or
+    division.  q = x_frac * 2/(p_j - 2) and Q = 1 - x_frac take their gcds
+    against small operands only.
     """
     check_level(p_j)
-    levels = primes_between(4, p_j)
-    L = _tree_sum(levels, operator.mul)
-    R = _tree_sum([q - 2 for q in levels], operator.mul)
-    x_frac = Fraction(R, L)
+    levels = np.array(primes_between(4, p_j), dtype=np.int64)
+    factors, copies = np.unique(_prime_factors(levels - 2, p_j), return_counts=True)
+    shared = factors >= 5  # each factor is a prime below p_j, so a level prime unless it is 3
+    copies[shared] -= 1
+    unshared = np.ones(levels.size, dtype=bool)  # a mask: np.setdiff1d's first call imports numpy.ma, 15 ms
+    unshared[np.searchsorted(levels, factors[shared])] = False
+    g = _tree_sum(factors[shared].tolist() or [1], operator.mul)
+    num = _tree_sum(np.repeat(factors, copies).tolist(), operator.mul)  # never empty: the 3 of 5 - 2 stays
+    den = _tree_sum(levels[unshared].tolist(), operator.mul)  # never empty: p_j stays
+    L, R = den * g, num * g
+    x_frac = _coprime_fraction(num, den)
     return CountsRow(
         p_j=p_j,
         L=L,
@@ -116,6 +129,25 @@ def counts_row(p_j: int) -> CountsRow:
         R=R,
         x_frac=x_frac,
     )
+
+
+# Fraction(n, d) divides out gcd(n, d), quadratic in the digits; for n and d
+# known coprime the value is built as it stands.
+_coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or functools.partial(Fraction, _normalize=False)
+
+
+def _prime_factors(values: np.ndarray, n: int) -> np.ndarray:
+    """Every prime factor of each value in [2, n], with multiplicity, from a least-prime-factor table up to n."""
+    least = np.arange(n + 1, dtype=np.int64)
+    for p in reversed(primes_between(1, math.isqrt(n))):
+        least[p * p :: p] = p  # the smallest prime writes last
+    out = []
+    while values.size:
+        p = least[values]
+        out.append(p)
+        values = values // p
+        values = values[values > 1]
+    return np.concatenate(out)
 
 
 def m_bound(p_next: int) -> int:

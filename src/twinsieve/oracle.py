@@ -119,14 +119,13 @@ class VerifyReport:
 
 def _verify_chunk(bounds: tuple[int, int]) -> tuple[int, list[tuple[int, str, str]]]:
     m_lo, m_hi = bounds
-    truth = _twin_truth(m_lo, m_hi)
     twins = 0
     mism: list[tuple[int, str, str]] = []
-    for i, m in enumerate(range(m_lo, m_hi + 1)):
+    for m, want in zip(range(m_lo, m_hi + 1), _twin_truth(m_lo, m_hi).tolist()):
         got = classify(m).is_twin_rank
         twins += got
-        if got != bool(truth[i]):
-            want_v = TWIN_RANK if truth[i] else NON_RANK
+        if got != want:
+            want_v = TWIN_RANK if want else NON_RANK
             got_v = TWIN_RANK if got else NON_RANK
             mism.append((m, want_v, got_v))
     return twins, mism

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import importlib
 import json
@@ -5,9 +6,12 @@ import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twinsieve import __version__
 from twinsieve import cli
@@ -217,6 +221,15 @@ class TestErrorsAndOutput:
         env = loads_strict(target.read_text())
         assert env["results"]["verdict"] == "twin_rank"
 
+    @pytest.mark.parametrize("emit", ["json", "csv"])
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, emit):
+        # 20,000 records: more than one written batch.
+        argv = ["--emit", emit, "nonranks", "--prime", "5", "--limit", "50000"]
+        _, printed, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "env"))
+        assert (code, out) == (0, "")
+        assert (tmp_path / "env").read_bytes() == printed.encode()
+
     def test_out_file_beside_a_tmp_directory(self, tmp_path, capsys):
         target = tmp_path / "env.json"
         (tmp_path / "env.json.tmp").mkdir()
@@ -228,7 +241,7 @@ class TestErrorsAndOutput:
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         (tmp_path / "env.json").mkdir()
         with pytest.raises(IsADirectoryError):
-            cli._write_atomic(tmp_path / "env.json", "{}\n")
+            cli._write_atomic(tmp_path / "env.json", ["{}\n"])
         assert [p.name for p in tmp_path.iterdir()] == ["env.json"]
 
     def test_out_into_missing_directory_exits_1(self, tmp_path, capsys):
@@ -388,6 +401,84 @@ class TestErrorsAndOutput:
         assert head == "# level=7 modulus=35"
         second = run_json(capsys, "--cache-dir", cache, "constants", "--level", "7")
         assert first["results"] == second["results"]
+
+
+def reference_encode(obj):
+    """The slow reference for the envelope writer: ints to decimal strings, Fractions to 'num/den', a copy of the rest."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, (list, tuple)):
+        return [reference_encode(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: reference_encode(v) for k, v in obj.items()}
+    return obj
+
+
+def reference_dumps(obj) -> str:
+    return json.dumps(reference_encode(obj), sort_keys=True, indent=2, separators=(",", ": "))
+
+
+@contextlib.contextmanager
+def written_in_batches_of(size):
+    """Lift the int-to-str digit limit, as main does, and write lists size elements at a time."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with mock.patch.object(cli, "_BATCH", size):
+            yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.builds(lambda digits, sign: sign * (10**digits + 7), st.integers(4300, 4400), st.sampled_from([1, -1]))
+    | st.fractions()
+    | st.floats()
+    | st.sampled_from([-0.0, 1e-07, math.inf, -math.inf, math.nan])
+    | st.text()
+)
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(st.text(), kids),
+    max_leaves=25,
+)
+RECORDS = st.lists(st.text(), min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.tuples(st.just(tuple(keys)), st.lists(st.tuples(*[SCALARS] * len(keys)), max_size=8))
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(PAYLOADS, st.integers(1, 4))
+    def test_bytes_equal_json_dumps_of_the_reference(self, payload, batch):
+        with written_in_batches_of(batch):
+            assert "".join(cli._json_pieces(payload)) == reference_dumps(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(RECORDS, st.integers(1, 4))
+    def test_records_write_as_their_objects(self, records, batch):
+        keys, rows = records
+        with written_in_batches_of(batch):
+            written = "".join(cli._json_pieces({"records": cli._Records(keys, rows)}))
+            assert written == reference_dumps({"records": [dict(zip(keys, row)) for row in rows]})
+
+    def test_uniform_lists_longer_than_a_batch(self):
+        payload = {"ints": list(range(-40_000, 40_000)), "strings": [str(i) for i in range(40_000)],
+                   "mixed": [1, "two", None, [3.5], {"k": Fraction(1, 3)}] * 5_000}
+        with written_in_batches_of(cli._BATCH):
+            assert "".join(cli._json_pieces(payload)) == reference_dumps(payload)
+
+    def test_csv_cells(self):
+        assert [cli._cell(v) for v in (None, 12, -3, Fraction(-4, 6), 0.5, True, "a b", ("minus", "plus"))] == [
+            "", "12", "-3", "-2/3", "0.5", "True", "a b", "minus plus"
+        ]
 
 
 GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
