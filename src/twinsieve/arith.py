@@ -132,13 +132,20 @@ def _sieve_to(hi: int) -> tuple[int, np.ndarray]:
     return _sieved
 
 
-def primes_between(lo: int, hi: int) -> list[int]:
-    """All primes p with lo < p <= hi, ascending; empty if the range holds none."""
+def prime_array(lo: int, hi: int) -> np.ndarray:
+    """All primes p with lo < p <= hi, ascending, as a read-only int64 slice of the engine sieve."""
     if hi < 2 or hi <= lo:
-        return []
+        return np.empty(0, dtype=np.int64)
     primes = _sieve_to(hi)[1]
     i, j = np.searchsorted(primes, [lo, hi], side="right")
-    return primes[i:j].tolist()
+    view = primes[i:j]
+    view.flags.writeable = False  # a view of the one cache: a write would change every later caller's primes
+    return view
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """All primes p with lo < p <= hi, ascending; empty if the range holds none."""
+    return prime_array(lo, hi).tolist()
 
 
 def next_prime(n: int) -> int:

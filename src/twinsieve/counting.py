@@ -16,24 +16,27 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import SPAN, is_prime, next_prime, odd_prime_blocks, primes_between
+from .arith import SPAN, is_prime, next_prime, odd_prime_blocks, prime_array, primes_between
 from .errors import CapacityError, DomainError
 from .oracle import DEFAULT_CEILING, pi2_exact
 from .parallel import parallel_map, pool_size
 
 EULER_GAMMA = 0.5772156649015329
 # Largest sieve level counts_row accepts, checked before any sieving.  On a
-# 2-vCPU host counts --level 999983, the last level below it, takes 29 s at
-# 43 MB, 0.6-0.9 s of it in counts_row (6.2 s with one gcd of R and L, 24.3 s
-# with left-to-right products), the rest turning the envelope's integers into
-# decimal; near 10^9 the level's primes alone would be a Python list of several GB.
+# 2-vCPU host counts --level 999983, the last level below it, takes 3.0-3.7 s
+# at 43 MB, 0.6-0.9 s of it in counts_row (6.2 s with one gcd of R and L, 24.3 s
+# with left-to-right products), most of the rest turning the envelope's ten
+# integers of over a million bits into decimal (29.6 s for the whole command when
+# str() did that); near 10^9 the least-prime-factor table alone would be 8 GB.
 LEVEL_GUARD = 10**6
 # Largest levels legendre_pi2 and main_term accept, checked before the level is
-# built.  legendre --level 23 (x = 37,182,005) peaks at 784 MB in 15.3 s; level
-# 29's x, 1,078,282,045, is 29 times larger.  main_term also sums one exact
-# Fraction per squarefree term: mainterm --level 19 (x = 1,616,527) takes 111 s
-# at 113 MB, 32 s of it in main_term (c2 aside), the rest in the exact
-# envelope; level 23 would carry denominators of tens of millions of bits.
+# built.  legendre --level 23 (x = 37,182,005, 6,031,487 squarefree terms)
+# peaks at 295 MB in 4.8 s, 3.3 s of it in the two oracle counts (784 MB in
+# 17 s when the terms were Python tuples); level 29's x, 1,078,282,045, is 29
+# times larger.  main_term also sums one exact Fraction per squarefree term:
+# mainterm --level 19 (x = 1,616,527) takes 50 s at 87 MB, 33 s of it in
+# main_term (c2 aside), 13 s in the CLI's exact form_gap and 3 s in the decimal
+# strings; level 23 would carry denominators of tens of millions of bits.
 LEGENDRE_GUARD = 23
 MAINTERM_GUARD = 19
 # Largest prime cutoff of the truncated c2 product, the one tolerance 1e-10
@@ -108,7 +111,7 @@ def counts_row(p_j: int) -> CountsRow:
     against small operands only.
     """
     check_level(p_j)
-    levels = np.array(primes_between(4, p_j), dtype=np.int64)
+    levels = prime_array(4, p_j)
     factors, copies = np.unique(_prime_factors(levels - 2, p_j), return_counts=True)
     shared = factors >= 5  # each factor is a prime below p_j, so a level prime unless it is 3
     copies[shared] -= 1
@@ -159,37 +162,51 @@ def m_bound(p_next: int) -> int:
     return (p_next * p_next - 1) // 6
 
 
-def squarefree_terms(tail_primes: list[int], x: int) -> list[tuple[int, int]]:
-    """Every squarefree product n <= x of the ascending distinct tail_primes (n = 1 excluded), as (n, nu) pairs.
+# One squarefree term: n and nu, the number of prime factors of n, so mu(n) = (-1)**nu.
+TERM = np.dtype([("n", np.int64), ("nu", np.int8)])
 
-    nu is the number of prime factors of n, so mu(n) = (-1)**nu.  Returned
-    ascending by n.  The callers pass primes_between(p_j, x), the primes above
-    the level, so no prime is checked again here.
+
+def squarefree_terms(tail_primes: np.ndarray, x: int) -> np.ndarray:
+    """Every squarefree product n <= x of the ascending distinct tail_primes (n = 1 excluded), as TERM records ascending by n.
+
+    Built level by level: level nu holds the products of nu primes and the
+    index of each product's largest prime, and level nu + 1 extends each
+    product n by every later prime q <= x // n.  The callers pass
+    prime_array(p_j, x), the primes above the level, so no prime is checked
+    again here.
     """
-    out: list[tuple[int, int]] = []
+    primes = np.asarray(tail_primes, dtype=np.int64)
+    last = np.arange(np.searchsorted(primes, x, side="right"))
+    n = primes[last]
+    levels = []
+    while n.size:
+        levels.append(n)
+        counts = np.maximum(np.searchsorted(primes, x // n, side="right") - last - 1, 0)
+        starts = np.cumsum(counts) - counts  # where each product's extensions begin in the next level
+        last = np.arange(starts[-1] + counts[-1]) + np.repeat(last + 1 - starts, counts)
+        n = np.repeat(n, counts) * primes[last]
+    nu = np.repeat(np.arange(1, len(levels) + 1, dtype=np.int8), [level.size for level in levels])
+    n = np.concatenate(levels or [n])
+    del levels  # n holds every product now: one copy, not two, through the sort
+    order = np.argsort(n)  # the n are distinct, so every sort kind gives this one order
+    terms = np.empty(n.size, dtype=TERM)
+    terms["n"] = n[order]
+    terms["nu"] = nu[order]
+    return terms
 
-    def extend(start: int, n: int, nu: int) -> None:
-        for i in range(start, len(tail_primes)):
-            v = n * tail_primes[i]
-            if v > x:
-                break
-            out.append((v, nu + 1))
-            extend(i + 1, v, nu + 1)
 
-    extend(0, 1, 0)
-    out.sort()
-    return out
-
-
-def _ie_floor_sum(terms: list[tuple[int, int]], x: int, workers: int = 1) -> int:
-    """Sum of mu(n) * 2^nu(n) * floor(x/n); integer-exact, so any partition merges equally."""
+def _ie_floor_sum(terms: np.ndarray, x: int, workers: int = 1) -> int:
+    """Sum of mu(n) * 2^nu(n) * floor(x/n) over TERM records; integer-exact, so any partition merges equally."""
     k = pool_size(workers, len(terms))
     return sum(parallel_map(_ie_floor_chunk, [(x, terms[i::k]) for i in range(k)], k))
 
 
-def _ie_floor_chunk(args: tuple[int, list[tuple[int, int]]]) -> int:
+def _ie_floor_chunk(args: tuple[int, np.ndarray]) -> int:
+    # One int64 sum per nu: each is below len(terms) * x (about 2.2e14 at
+    # level 23), and the (-2)**nu factor is applied to the Python int.
     x, terms = args
-    return sum((-2) ** nu * (x // n) for n, nu in terms)
+    n, nu = terms["n"], terms["nu"]
+    return sum((-2) ** v * int((x // n[nu == v]).sum()) for v in range(1, int(nu.max(initial=0)) + 1))
 
 
 def _tree_sum(values: list, op):
@@ -236,7 +253,7 @@ def legendre_pi2(
     check_level(p_j, "legendre_pi2", 7, LEGENDRE_GUARD)
     row = counts_row(p_j)
     x = row.x
-    ie_sum = _ie_floor_sum(squarefree_terms(primes_between(p_j, x), x), x, workers)
+    ie_sum = _ie_floor_sum(squarefree_terms(prime_array(p_j, x), x), x, workers)
     estimate = row.R + ie_sum
 
     oracle_pi2 = pi2_exact(6 * x + 1, ceiling=ceiling) if 6 * x + 1 <= ceiling else None
@@ -278,9 +295,10 @@ def main_term(p_j: int) -> MainTermReport:
     check_level(p_j, "main_term", 7, MAINTERM_GUARD)
     row = counts_row(p_j)
     R0, x = row.R, row.x
-    tail_primes = primes_between(p_j, x)
+    tail_primes = prime_array(p_j, x)
     terms = squarefree_terms(tail_primes, x)
-    rm_sum = _tree_sum([Fraction(R0)] + [Fraction((-2) ** nu * x, n) for n, nu in terms], operator.add)
+    pairs = zip(terms["n"].tolist(), terms["nu"].tolist())
+    rm_sum = _tree_sum([Fraction(R0)] + [Fraction((-2) ** nu * x, n) for n, nu in pairs], operator.add)
     estimate = R0 + _ie_floor_sum(terms, x)
 
     # L * prod_{5<=q<=x} (q-2)/q = R0 * tail, tail the product over p_j < q <= x,
@@ -288,8 +306,8 @@ def main_term(p_j: int) -> MainTermReport:
     # until one Fraction normalization.  R0 * tail + M * (1 - tail) is taken as
     # M + (R0 - M) * tail, the same reduced Fraction with no Fraction + Fraction
     # on the tail's denominator (2.3 million bits, 7.6 s of gcds, at level 19).
-    num_tail = _tree_sum([q - 2 for q in tail_primes], operator.mul)
-    den_tail = _tree_sum(tail_primes, operator.mul)
+    num_tail = _tree_sum((tail_primes - 2).tolist(), operator.mul)
+    den_tail = _tree_sum(tail_primes.tolist(), operator.mul)
     rm_product = row.M + (R0 - row.M) * Fraction(num_tail, den_tail)
 
     return MainTermReport(

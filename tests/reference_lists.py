@@ -60,6 +60,23 @@ def slow_counts_fields(p: int) -> tuple:
     return L, G, Fraction(G, L), L - R, Fraction(L - R, L), R, Fraction(R, L)
 
 
+def slow_squarefree_terms(tail_primes: list[int], x: int) -> list[tuple[int, int]]:
+    """Every squarefree product n <= x of the ascending distinct tail_primes (n = 1 excluded), as ascending (n, nu) pairs, by recursion."""
+    out: list[tuple[int, int]] = []
+
+    def extend(start: int, n: int, nu: int) -> None:
+        for i in range(start, len(tail_primes)):
+            v = n * tail_primes[i]
+            if v > x:
+                break
+            out.append((v, nu + 1))
+            extend(i + 1, v, nu + 1)
+
+    extend(0, 1, 0)
+    out.sort()
+    return out
+
+
 def slow_rm_sum(R0: int, x: int, terms: list[tuple[int, int]]) -> Fraction:
     """main_term's exact R_M_sum = R0 + sum mu(n) 2^nu(n) x/n over (n, nu) terms, added left to right."""
     return Fraction(R0) + sum((Fraction((-1) ** nu * 2**nu * x, n) for n, nu in terms), Fraction(0))

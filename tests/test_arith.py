@@ -301,14 +301,14 @@ class TestSmallestPrimeFactor:
 class TestSquarefreeTerms:
     def test_example_small_cap(self):
         terms = squarefree_terms([11, 13], 15)
-        assert [(n, (-1) ** nu, nu) for n, nu in terms] == [(11, -1, 1), (13, -1, 1)]
+        assert [(n, (-1) ** nu, nu) for n, nu in terms.tolist()] == [(11, -1, 1), (13, -1, 1)]
 
     def test_example_includes_product(self):
         terms = squarefree_terms([11, 13], 200)
-        assert (143, 1, 2) in [(n, (-1) ** nu, nu) for n, nu in terms]
+        assert (143, 1, 2) in [(n, (-1) ** nu, nu) for n, nu in terms.tolist()]
 
     def test_empty_generators(self):
-        assert squarefree_terms([], 100) == []
+        assert squarefree_terms([], 100).tolist() == []
 
 
 def test_next_prime():

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twinsieve import __version__
 from twinsieve import cli
@@ -423,15 +424,21 @@ def reference_dumps(obj) -> str:
 
 
 @contextlib.contextmanager
-def written_in_batches_of(size):
-    """Lift the int-to-str digit limit, as main does, and write lists size elements at a time."""
+def str_digits_unlimited():
+    """Lift the int-to-str digit limit, as main does."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        with mock.patch.object(cli, "_BATCH", size):
-            yield
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@contextlib.contextmanager
+def written_in_batches_of(size):
+    """Lift the int-to-str digit limit and write lists size elements at a time."""
+    with str_digits_unlimited(), mock.patch.object(cli, "_BATCH", size):
+        yield
 
 
 SCALARS = (
@@ -479,6 +486,26 @@ class TestJsonWriter:
         assert [cli._cell(v) for v in (None, 12, -3, Fraction(-4, 6), 0.5, True, "a b", ("minus", "plus"))] == [
             "", "12", "-3", "-2/3", "0.5", "True", "a b", "minus plus"
         ]
+
+
+class TestDecimalString:
+    @settings(max_examples=40, deadline=None)
+    @given(bits=st.integers(0, 332_193), seed=st.integers(0, 2**32), sign=st.sampled_from([1, -1]))  # up to 10^5 digits
+    @example(bits=0, seed=0, sign=-1)
+    @example(bits=cli._DIRECT_BITS + 1, seed=1, sign=-1)
+    def test_equals_str(self, bits, seed, sign):
+        n = sign * random.Random(seed).getrandbits(bits)
+        with str_digits_unlimited():
+            want = str(n)
+        assert cli._decimal_string(n) == want
+
+    @pytest.mark.parametrize("digits", [617, 618, 4301, 100_000])
+    def test_powers_of_ten_and_their_neighbours(self, digits):
+        # Each carries or drops a digit at the boundary: 10^k - 1 is all nines, 10^k one and zeros.
+        for n in (10**digits - 1, 10**digits, -(10**digits), 2 ** (3 * digits)):
+            with str_digits_unlimited():
+                want = str(n)
+            assert cli._decimal_string(n) == want
 
 
 GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import twinsieve.arith as arith
 import twinsieve.counting as counting
@@ -26,7 +27,14 @@ from twinsieve.counting import (
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.progressions import residue_set
 
-from reference_lists import slow_c2_partial, slow_counts_fields, slow_prime_blocks, slow_rm_product, slow_rm_sum
+from reference_lists import (
+    slow_c2_partial,
+    slow_counts_fields,
+    slow_prime_blocks,
+    slow_rm_product,
+    slow_rm_sum,
+    slow_squarefree_terms,
+)
 
 LEVELS_TO_113 = primes_between(4, 113)  # through the 30th prime
 LEVELS_TO_229 = primes_between(4, 229)  # through the 50th prime
@@ -255,7 +263,7 @@ class TestLegendre:
         assert counting._ie_floor_sum(terms, x, 10**9) == naive_ie_sum(13, x)
         [(items, workers)] = calls
         assert len(items) == workers == 3
-        assert sorted(t for _, chunk in items for t in chunk) == terms
+        assert sorted(t for _, chunk in items for t in chunk.tolist()) == terms.tolist()
 
     def test_workers_do_not_change_result(self):
         for level in (7, 11, 13):
@@ -292,7 +300,7 @@ class TestMainTerm:
         rep = main_term(level)
         terms = counting.squarefree_terms(primes_between(level, rep.x), rep.x)
         row = counts_row(level)
-        assert rep.R_M_sum == slow_rm_sum(row.R, rep.x, terms)
+        assert rep.R_M_sum == slow_rm_sum(row.R, rep.x, terms.tolist())
         assert rep.R_M_product == slow_rm_product(row.R, row.M, primes_between(level, rep.x))
 
     @pytest.mark.parametrize("size", range(1, 12))
@@ -352,7 +360,7 @@ class TestSquarefreeTerms:
     def test_terms_divide_generator_product_and_match_mobius(self):
         gens = [5, 7, 11, 13, 17, 19, 23, 29, 31]
         product = math.prod(gens)
-        terms = counting.squarefree_terms(gens, 10_000)
+        terms = counting.squarefree_terms(gens, 10_000).tolist()
         assert [n for n, _ in terms] == sorted(n for n, _ in terms)
         assert len({n for n, _ in terms}) == len(terms)
         for n, nu in terms:
@@ -376,7 +384,31 @@ class TestSquarefreeTerms:
             else:
                 if m == 1:
                     expect.append((n, (-1) ** nu, nu))
-        assert [(n, (-1) ** nu, nu) for n, nu in counting.squarefree_terms(gens, cap)] == expect
+        assert [(n, (-1) ** nu, nu) for n, nu in counting.squarefree_terms(gens, cap).tolist()] == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gens=st.sets(st.sampled_from(primes_between(1, 2000))).map(sorted),
+        cap=st.integers(0, 10**6),
+    )
+    @example(gens=[], cap=10**6)
+    @example(gens=[1999], cap=1998)
+    @example(gens=[2, 3, 5, 7, 11, 13, 17], cap=510_510)
+    def test_records_equal_the_recursive_reference(self, gens, cap):
+        terms = counting.squarefree_terms(np.array(gens, dtype=np.int64), cap)
+        want = slow_squarefree_terms(gens, cap)
+        assert terms.dtype == counting.TERM
+        assert len(terms) == len(want)
+        assert terms.tolist() == want
+
+    @pytest.mark.parametrize("level", [7, 11, 13, 17, 19])
+    def test_level_terms_and_floor_sums_equal_the_reference(self, level):
+        x = counts_row(level).x
+        want = slow_squarefree_terms(primes_between(level, x), x)
+        terms = counting.squarefree_terms(arith.prime_array(level, x), x)
+        assert terms.tolist() == want
+        ie_sum = counting._ie_floor_sum(terms, x)
+        assert type(ie_sum) is int and ie_sum == sum((-2) ** nu * (x // n) for n, nu in want)
 
 
 class TestConstants:
