@@ -10,7 +10,6 @@ from .arith import (
 )
 from .classify import (
     Classification,
-    NonRankTerm,
     classify,
     nonranks_of,
     rank_from_prime,

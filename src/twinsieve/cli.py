@@ -10,8 +10,10 @@ floats shortest round-trip decimals; a CSV cell space-joins a list and leaves
 None empty.  The JSON writer gives the bytes the json module writes with
 sorted keys and indent=2, without building the envelope first: a list goes
 out a batch at a time, each batch one join, and a list of flat records
-(_Records) fills one template per object.  The pieces go to stdout as they
-are made, or to a temp file that replaces --out only once it is complete.
+(_Records) fills one template per object.  A list payload may be a numpy
+column or record array, which becomes Python values one batch at a time.  The
+pieces go to stdout as they are made, or to a temp file that replaces --out
+only once it is complete.
 Identical argv produces byte-identical output, except for bench whose payload
 is wall-clock timing by design; verify prints its throughput to stderr to
 keep the envelope deterministic.  Domain, capacity, memory and OS errors (an
@@ -33,6 +35,8 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import __version__
 from .counting import (
@@ -119,19 +123,32 @@ def _cell(v) -> str:
 
 @dataclass(frozen=True)
 class _Records:
-    """A list of flat JSON objects that share keys; each row holds one object's scalars in key order."""
+    """A list of flat JSON objects that share keys; each row holds one object's scalars in key order.
+
+    rows is a sequence of tuples or a 1-D record array, its fields in key order.
+    """
 
     keys: tuple[str, ...]
-    rows: Sequence[tuple]
+    rows: Sequence[tuple] | np.ndarray
 
 
 _BATCH = 1 << 14  # list elements per written piece
 
 
 def _batches(items: Iterable):
+    """Lists of up to _BATCH items; a numpy array is sliced, and only a slice at a time becomes Python values."""
+    if isinstance(items, np.ndarray):
+        for lo in range(0, len(items), _BATCH):
+            yield items[lo : lo + _BATCH].tolist()
+        return
     it = iter(items)
     while batch := list(islice(it, _BATCH)):
         yield batch
+
+
+def _elements(items: Iterable):
+    """The items one by one, as _batches makes them: Python values, not numpy scalars."""
+    return chain.from_iterable(_batches(items))
 
 
 def _texts(values: list):
@@ -157,10 +174,11 @@ def _record_texts(keys: tuple[str, ...], indent: str):
 def _json_pieces(obj, indent: str = ""):
     """Yield the text the json module writes for obj with sort_keys, indent=2 and separators (",", ": ").
 
-    Every scalar goes through _exact first.  A list, a tuple or the rows of
-    _Records go out a batch at a time, each batch one join: a batch of ints
-    or of strings is a C-level map, records fill one template per object,
-    and only a batch holding containers recurses element by element.
+    Every scalar goes through _exact first.  A list, a tuple, a 1-D numpy
+    array or the rows of _Records go out a batch at a time, each batch one
+    join: a batch of ints or of strings is a C-level map, records fill one
+    template per object, and only a batch holding containers recurses
+    element by element.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -173,7 +191,7 @@ def _json_pieces(obj, indent: str = ""):
             yield from _json_pieces(obj[key], inner)
             lead = ",\n" + inner
         yield "\n" + indent + "}"
-    elif isinstance(obj, (list, tuple, _Records)):
+    elif isinstance(obj, (list, tuple, np.ndarray, _Records)):
         records = isinstance(obj, _Records)
         texts_of = _record_texts(obj.keys, inner) if records else _texts
         lead, sep = "[\n" + inner, ",\n" + inner
@@ -190,6 +208,12 @@ def _json_pieces(obj, indent: str = ""):
         yield "[]" if lead[0] == "[" else "\n" + indent + "]"  # lead is still "[" when no element was written
     else:
         yield _scalar(obj)
+
+
+def _csv_pieces(header: list[str], rows: Iterable):
+    """The CSV text of the header and the rows, a batch of lines per piece."""
+    lines = (",".join(map(_cell, row)) + "\n" for row in chain([header], rows))
+    return ("".join(batch) for batch in _batches(lines))
 
 
 def _record(report) -> dict:
@@ -240,12 +264,14 @@ def _load_cached_constants(cache_dir: str, level: int):
     row = counts_row(level)
     modulus, count = row.L, row.R
     try:
-        head, *body = path.read_text().splitlines()
-        constants = [int(v) for v in body]
-    except ValueError:  # empty, a line that is not an integer, or not text at all
+        with path.open() as fh:
+            head = fh.readline()
+            # one line past count is enough to refuse the file
+            constants = np.fromiter(map(int, islice(fh, count + 1)), dtype=np.int64)
+    except (ValueError, OverflowError):  # a line that is not an integer or not an int64, or not text at all
         raise DomainError(f"cache file {path} is not a constants list") from None
-    in_range_ascending = all(a < b for a, b in zip([-1, *constants], [*constants, modulus]))
-    if head != f"# level={level} modulus={modulus}" or len(constants) != count or not in_range_ascending:
+    if (head != f"# level={level} modulus={modulus}\n" or constants.size != count  # count is at least 3
+            or constants[0] < 0 or constants[-1] >= modulus or not np.all(constants[1:] > constants[:-1])):
         raise DomainError(f"cache file {path} does not hold the {count} level-{level} constants")
     return modulus, constants
 
@@ -253,7 +279,8 @@ def _load_cached_constants(cache_dir: str, level: int):
 def _store_cached_constants(cache_dir: str, level: int, modulus: int, constants) -> None:
     path = _cache_path(cache_dir, level)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(path, [f"# level={level} modulus={modulus}\n" + "\n".join(str(c) for c in constants) + "\n"])
+    lines = ("".join(map("%d\n".__mod__, batch)) for batch in _batches(constants))
+    _write_atomic(path, chain([f"# level={level} modulus={modulus}\n"], lines))
 
 
 # Each handler returns (results_dict, csv_header, csv_rows), the rows built
@@ -267,13 +294,13 @@ def _cmd_classify(args):
 def _cmd_twins(args):
     stream = twin_ranks_up_to(args.limit, ceiling=args.ceiling)
     results = {**_record(stream), "count": len(stream.ranks)}
-    return results, ["rank"], ([m] for m in results["ranks"])
+    return results, ["rank"], ([m] for m in _elements(stream.ranks))
 
 
 def _cmd_nonranks(args):
-    terms = _Records(("value", "n", "sign"), [(t.value, t.n, t.sign) for t in nonranks_of(args.prime, args.limit)])
+    terms = _Records(("value", "n", "sign"), nonranks_of(args.prime, args.limit))
     results = {"prime": args.prime, "limit": args.limit, "count": len(terms.rows), "terms": terms}
-    return results, list(terms.keys), terms.rows
+    return results, list(terms.keys), _elements(terms.rows)
 
 
 def _cmd_constants(args):
@@ -282,11 +309,11 @@ def _cmd_constants(args):
         modulus, constants = cached
     else:
         rs = residue_set(args.level)
-        modulus, constants = rs.modulus, rs.constants.tolist()
+        modulus, constants = rs.modulus, rs.constants
         if args.cache_dir:
             _store_cached_constants(args.cache_dir, args.level, modulus, constants)
     results = {"level": args.level, "modulus": modulus, "count": len(constants), "constants": constants}
-    return results, ["constant"], ([c] for c in constants)
+    return results, ["constant"], ([c] for c in _elements(constants))
 
 
 def _cmd_remnants(args):
@@ -300,12 +327,15 @@ def _cmd_remnants(args):
         "front_twin_ranks": rep.front_twin_ranks,
         "intruders": _Records(("value", "parent"), rep.intruders),
     }
-    parent = dict(rep.intruders)
-    rows = (
-        [v, "front_twin_rank" if v < rep.front_bound else ("intruder" if v in parent else "twin_rank"), parent.get(v)]
-        for v in rep.remnants
-    )
-    return results, ["value", "kind", "parent"], rows
+    return results, ["value", "kind", "parent"], _remnant_rows(rep)
+
+
+def _remnant_rows(rep):
+    """(value, kind, parent) per remnant; intruders are remnants, so a searchsorted puts each parent in place."""
+    parent = np.zeros(len(rep.remnants), dtype=rep.intruders["parent"].dtype)  # 0: no parent
+    parent[np.searchsorted(rep.remnants, rep.intruders["value"])] = rep.intruders["parent"]
+    for v, q in zip(_elements(rep.remnants), _elements(parent)):
+        yield [v, "front_twin_rank" if v < rep.front_bound else ("intruder" if q else "twin_rank"), q or None]
 
 
 def _cmd_family(args):
@@ -450,8 +480,7 @@ def main(argv: list[str] | None = None) -> int:
             raise DomainError(f"--workers must be >= 1, got {args.workers}")
         results, header, rows = args.handler(args)
         if args.emit == "csv":
-            lines = (",".join(map(_cell, row)) + "\n" for row in chain([header], rows))
-            pieces = ("".join(batch) for batch in _batches(lines))
+            pieces = _csv_pieces(header, rows)
         else:
             parameters = {
                 k: v

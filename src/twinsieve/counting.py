@@ -31,9 +31,9 @@ EULER_GAMMA = 0.5772156649015329
 LEVEL_GUARD = 10**6
 # Largest levels legendre_pi2 and main_term accept, checked before the level is
 # built.  legendre --level 23 (x = 37,182,005, 6,031,487 squarefree terms)
-# peaks at 295 MB in 4.8 s, 3.3 s of it in the two oracle counts (784 MB in
-# 17 s when the terms were Python tuples); level 29's x, 1,078,282,045, is 29
-# times larger.  main_term also sums one exact Fraction per squarefree term:
+# peaks at 295 MB in 2.4-3.6 s, 0.8 s of it in the oracle counts, which sieve
+# the period once (784 MB in 17 s when the terms were Python tuples and each
+# count sieved from rank 1); level 29's x, 1,078,282,045, is 29 times larger.  main_term also sums one exact Fraction per squarefree term:
 # mainterm --level 19 (x = 1,616,527) takes 50 s at 87 MB, 33 s of it in
 # main_term (c2 aside), 13 s in the CLI's exact form_gap and 3 s in the decimal
 # strings; level 23 would carry denominators of tens of millions of bits.
@@ -249,6 +249,8 @@ def legendre_pi2(
 
     The two oracle counts answer the two readings of what is estimated: twin
     ranks up to x (pi2 of 6x+1) and twin ranks in the whole period [1, L].
+    The second is the first plus the M twin-rank candidates in (x, L], so
+    only those are sieved again.
     """
     check_level(p_j, "legendre_pi2", 7, LEGENDRE_GUARD)
     row = counts_row(p_j)
@@ -257,7 +259,9 @@ def legendre_pi2(
     estimate = row.R + ie_sum
 
     oracle_pi2 = pi2_exact(6 * x + 1, ceiling=ceiling) if 6 * x + 1 <= ceiling else None
-    oracle_window = pi2_exact(6 * row.L + 1, ceiling=ceiling) if 6 * row.L + 1 <= ceiling else None
+    oracle_window = None
+    if oracle_pi2 is not None and 6 * row.L + 1 <= ceiling:
+        oracle_window = oracle_pi2 + pi2_exact(6 * row.L + 1, ceiling=ceiling, first_rank=x + 1)
     return LegendreReport(
         p_j=p_j,
         p_next=row.p_next,

@@ -28,7 +28,8 @@ MATERIALIZE_GUARD = 10**8
 # C_29 214,708,725, above MATERIALIZE_GUARD.
 RESIDUE_GUARD = 23
 # Largest bound remnants_below accepts: remnants --level 61 --bound 10^7 takes
-# 4.3 s at 298 MB on a 2-vCPU host, its 98.7 MB envelope written in batches.
+# 2.5-3.6 s at 99 MB on a 2-vCPU host, its 98.7 MB envelope written in batches
+# from the report's int64 columns (4.3 s at 298 MB when they were tuples).
 REMNANTS_GUARD = 10**7
 
 
@@ -77,7 +78,7 @@ def residue_set(p: int) -> ResidueSet:
     levels = row.primes
     keep = _least_parent(0, row.L, levels) == 0
     keep[[nsix(q) for q in levels]] = False
-    return ResidueSet(p=p, modulus=row.L, constants=np.flatnonzero(keep).astype(np.int64))
+    return ResidueSet(p=p, modulus=row.L, constants=np.flatnonzero(keep).astype(np.int64, copy=False))
 
 
 def inductive_step(current: ResidueSet, p_next: int) -> ResidueSet:
@@ -113,21 +114,23 @@ def boundary_twin_ranks(p: int) -> list[int]:
     return sorted(v for v in offsets if v % 5 not in (1, 4) and classify(v).is_twin_rank)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RemnantReport:
     """Integers in [1, bound) that no prime 5 <= q <= p strikes as a non-rank value.
 
     front_bound is (p_next**2 - 1)/6; remnants below it are necessarily twin
     ranks (the front), remnants at or above it are twin ranks or intruders
     (non-ranks whose parent exceeds p), the latter tagged with their parents.
+    remnants and front_twin_ranks are ascending int64 arrays, intruders an
+    array of (value, parent) records ascending by value.
     """
 
     p: int
     bound: int
     front_bound: int
-    remnants: tuple[int, ...]
-    front_twin_ranks: tuple[int, ...]
-    intruders: tuple[tuple[int, int], ...]
+    remnants: np.ndarray
+    front_twin_ranks: np.ndarray
+    intruders: np.ndarray
 
 
 def remnants_below(p_sieve: int, bound: int) -> RemnantReport:
@@ -149,14 +152,15 @@ def remnants_below(p_sieve: int, bound: int) -> RemnantReport:
     intruder = lp > p_sieve
     remnants = np.flatnonzero(intruder | (lp == 0)) + 1
     hits = np.flatnonzero(intruder)
-    front = remnants[remnants < front_bound]
+    intruders = np.empty(hits.size, dtype=[("value", np.int64), ("parent", lp.dtype)])
+    intruders["value"], intruders["parent"] = hits + 1, lp[hits]
     return RemnantReport(
         p=p_sieve,
         bound=bound,
         front_bound=front_bound,
-        remnants=tuple(remnants.tolist()),
-        front_twin_ranks=tuple(front.tolist()),
-        intruders=tuple(zip((hits + 1).tolist(), lp[hits].tolist())),
+        remnants=remnants,
+        front_twin_ranks=remnants[: np.searchsorted(remnants, front_bound)],
+        intruders=intruders,
     )
 
 

@@ -80,17 +80,17 @@ def test_criterion_2_reference_lists_exact():
 
     from twinsieve.classify import nonranks_of
 
-    a7 = [t.value for t in nonranks_of(7, 35) if classify(t.value).parent == 7]
+    a7 = [v for v in nonranks_of(7, 35)["value"].tolist() if classify(v).parent == 7]
     assert a7 == A7_INITIAL
 
-    assert list(twin_ranks_up_to(18).ranks) == TWIN_RANKS_TO_18
+    assert twin_ranks_up_to(18).ranks.tolist() == TWIN_RANKS_TO_18
     assert [twin_index(m) for m in TWIN_RANKS_TO_18] == TWIN_INDICES_TO_108
-    non_ranks = sorted(set(range(1, 20)) - set(twin_ranks_up_to(19).ranks))
+    non_ranks = sorted(set(range(1, 20)) - set(twin_ranks_up_to(19).ranks.tolist()))
     assert non_ranks == NON_RANKS_TO_19
 
     rep = remnants_below(61, 748)
-    assert list(rep.remnants) == REMNANTS_61_BELOW_748
-    assert rep.intruders == ()
+    assert rep.remnants.tolist() == REMNANTS_61_BELOW_748
+    assert rep.intruders.tolist() == []
     print(
         "criterion 2 PASS: C5/C7/C11, parent-7 initials, twin-rank/index/non-rank "
         "lists, and the 116 level-61 remnants are byte-exact"

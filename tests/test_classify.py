@@ -2,6 +2,7 @@ import importlib
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -172,25 +173,39 @@ class TestRankFromPrime:
                 assert 6 * m in (p - 1, p + 1)
 
 
+def slow_nonranks(p: int, limit: int) -> list[tuple[int, int, str]]:
+    """The (value, n, sign) terms of p up to limit, one at a time, as nonranks_of once built them."""
+    off = nsix(p)
+    out = []
+    n = 1
+    while n * p - off <= limit:
+        out.append((n * p - off, n, "-"))
+        if n * p + off <= limit:
+            out.append((n * p + off, n, "+"))
+        n += 1
+    return out
+
+
 class TestNonRanksOf:
     def test_level_5(self):
-        assert [t.value for t in nonranks_of(5, 21)] == [4, 6, 9, 11, 14, 16, 19, 21]
+        assert nonranks_of(5, 21)["value"].tolist() == [4, 6, 9, 11, 14, 16, 19, 21]
 
     def test_level_7(self):
-        assert [t.value for t in nonranks_of(7, 15)] == [6, 8, 13, 15]
+        assert nonranks_of(7, 15)["value"].tolist() == [6, 8, 13, 15]
 
     def test_level_11_empty(self):
-        assert nonranks_of(11, 8) == []
+        assert nonranks_of(11, 8).tolist() == []
 
     def test_domain(self):
         with pytest.raises(DomainError):
             nonranks_of(4, 100)
 
     def test_guard_refuses_before_generating(self, monkeypatch):
-        def generated(*args):
-            raise AssertionError("a term was generated above the guard")
+        class NoArrays:  # every term column is built through the module's numpy
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} was reached above the guard")
 
-        monkeypatch.setattr(classify_module, "NonRankTerm", generated)
+        monkeypatch.setattr(classify_module, "np", NoArrays())
         with pytest.raises(CapacityError, match="399999999999999999 non-ranks of 5 up to 10{18} exceed 1000000"):
             nonranks_of(5, 10**18)
 
@@ -203,46 +218,59 @@ class TestNonRanksOf:
         with pytest.raises(CapacityError):
             nonranks_of(p, limit)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_records_equal_the_term_loop(self, data):
+        p = data.draw(st.sampled_from([5, 7, 11, 13, 101, 100000000000000003, 4611686018427387847]))
+        off = nsix(p)
+        limits = st.integers(-10, 40 * p)
+        if p > 2**56:  # few enough terms: also where the value column turns to Python ints
+            limits |= st.integers(-3 * p, 3 * p).map(lambda d: 2**63 - off + d)
+        limit = data.draw(limits)
+        terms = nonranks_of(p, limit)
+        assert terms.dtype.names == ("value", "n", "sign")
+        assert terms.dtype["value"] == (np.int64 if max(limit + off, p) < 2**63 else object)
+        assert terms.tolist() == slow_nonranks(p, limit)
+
     def test_term_structure(self):
         for p in (5, 7, 11, 13):
             off = nsix(p)
-            terms = nonranks_of(p, 400)
-            values = [t.value for t in terms]
+            terms = nonranks_of(p, 400).tolist()
+            values = [value for value, _, _ in terms]
             assert values == sorted(values)
-            for t in terms:
-                sign = 1 if t.sign == "+" else -1
-                assert t.value == t.n * p + sign * off
-                assert t.n >= 1 and t.value > 0
+            for value, n, sign in terms:
+                assert value == n * p + (1 if sign == "+" else -1) * off
+                assert n >= 1 and value > 0
 
     def test_soundness_every_value_is_a_non_rank(self):
         # One of 6k-1, 6k+1 is divisible by p and composite, so classify agrees.
         for p in PRIMES_5_200:
-            for t in nonranks_of(p, 2000):
-                assert (6 * t.value - 1) % p == 0 or (6 * t.value + 1) % p == 0
-                c = classify(t.value)
+            for value in nonranks_of(p, 2000)["value"].tolist():
+                assert (6 * value - 1) % p == 0 or (6 * value + 1) % p == 0
+                c = classify(value)
                 assert c.verdict == NON_RANK
                 assert c.parent <= p
 
     def test_sandwich_equations(self):
         # 6k = 6np +- (p -+ 1) according to the residue of p mod 6 and the sign.
         for p in PRIMES_5_200[:12]:
-            for t in nonranks_of(p, 50 * p):
-                k6 = 6 * t.value
-                if t.sign == "+":
-                    assert k6 == 6 * t.n * p + (p - 1 if p % 6 == 1 else p + 1)
+            for value, n, sign in nonranks_of(p, 50 * p).tolist():
+                k6 = 6 * value
+                if sign == "+":
+                    assert k6 == 6 * n * p + (p - 1 if p % 6 == 1 else p + 1)
                 else:
-                    assert k6 == 6 * t.n * p - (p - 1 if p % 6 == 1 else p + 1)
+                    assert k6 == 6 * n * p - (p - 1 if p % 6 == 1 else p + 1)
 
     def test_completeness_against_generators(self):
         # Every non-rank m is hit by the generator of its parent prime.
         for m in range(1, 2000):
             c = classify(m)
             if c.verdict == NON_RANK:
-                assert m in [t.value for t in nonranks_of(c.parent, m)]
+                assert m in nonranks_of(c.parent, m)["value"].tolist()
 
     def test_parent_7_initials_repeat_with_period_35(self):
         # The six parent-7 non-ranks of the first period generate all others.
-        initials = [t.value for t in nonranks_of(7, 35) if classify(t.value).parent == 7]
+        initials = [v for v in nonranks_of(7, 35)["value"].tolist() if classify(v).parent == 7]
         assert initials == [8, 13, 15, 20, 22, 27]
         for k in range(1, 5):
             for v in initials:

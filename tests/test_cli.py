@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from twinsieve import __version__
 from twinsieve import cli
 from twinsieve.arith import primes_between
 from twinsieve.cli import main
+from twinsieve.progressions import remnants_below
 
 from reference_lists import C5, C7, REMNANTS_61_BELOW_748
 
@@ -277,16 +279,24 @@ class TestErrorsAndOutput:
         assert (code, out) == (1, "")
         assert err == f"twinsieve family: --workers must be >= 1, got {workers}\n"
 
+    def test_ceiling_above_the_sieve_guard_exits_1(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "twins", "--limit", "10000000000", "--ceiling", "100000000000")
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out) == (1, "")
+        assert err == "twinsieve twins: 6*10000000000+1 exceeds the oracle's sieve guard 10000000000\n"
+
     def test_remnants_above_guard_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "remnants", "--level", "61", "--bound", "10000001")
         assert (code, out) == (1, "")
         assert err == "twinsieve remnants: remnants bound 10000001 exceeds 10000000\n"
 
     def test_nonranks_above_guard_exits_1(self, capsys, monkeypatch):
-        def generated(*args):
-            raise AssertionError("a term was generated above the guard")
+        class NoArrays:  # every term column is built through the module's numpy
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} was reached above the guard")
 
-        monkeypatch.setattr(importlib.import_module("twinsieve.classify"), "NonRankTerm", generated)
+        monkeypatch.setattr(importlib.import_module("twinsieve.classify"), "np", NoArrays())
         code, out, err = run_cli(capsys, "nonranks", "--prime", "5", "--limit", "1000000000000")
         assert (code, out) == (1, "")
         assert err == "twinsieve nonranks: 399999999999 non-ranks of 5 up to 1000000000000 exceed 1000000\n"
@@ -383,9 +393,12 @@ class TestErrorsAndOutput:
             "# level=7 modulus=35\n" + "".join(f"{c + 35}\n" for c in C7),  # out of range
             "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + "x\n",  # not an integer
             "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + f"{C7[-2]}\n",  # repeated
+            "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + f"{2**63}\n",  # not an int64
+            "# level=7 modulus=35\n" + f"{-(2**63) - 1}\n" + "".join(f"{c}\n" for c in C7[1:]),  # below int64
+            "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7) + "".join(f"{c}\n" for c in C7),  # too many
         ],
         ids=["empty", "header-only", "too-few", "other-level", "wrong-modulus", "descending",
-             "out-of-range", "not-an-integer", "repeated"],
+             "out-of-range", "not-an-integer", "repeated", "int64-overflow", "int64-underflow", "too-many"],
     )
     def test_invalid_cache_file_exits_1(self, tmp_path, capsys, text):
         (tmp_path / "constants-7.txt").write_text(text)
@@ -486,6 +499,90 @@ class TestJsonWriter:
         assert [cli._cell(v) for v in (None, 12, -3, Fraction(-4, 6), 0.5, True, "a b", ("minus", "plus"))] == [
             "", "12", "-3", "-2/3", "0.5", "True", "a b", "minus plus"
         ]
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1])
+COLUMN_RECORD = np.dtype([("value", np.int64), ("parent", np.uint16), ("sign", "U1")])
+
+
+def reference_csv(header, rows) -> str:
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
+class TestColumnWriter:
+    """numpy columns and record arrays write the bytes of their lists, in JSON and in CSV."""
+
+    def check(self, records: np.ndarray, rows: list[tuple]):
+        keys = records.dtype.names
+        values = [row[0] for row in rows]
+        column = records[keys[0]]
+        assert [type(v) for v in cli._elements(column)] == [int] * len(values)
+        assert "".join(cli._json_pieces({"c": column})) == reference_dumps({"c": values})
+        written = "".join(cli._json_pieces({"r": cli._Records(keys, records)}))
+        assert written == reference_dumps({"r": [dict(zip(keys, row)) for row in rows]})
+        assert "".join(cli._csv_pieces(["v"], ([v] for v in cli._elements(column)))) == reference_csv(["v"], [[v] for v in values])
+        assert "".join(cli._csv_pieces(list(keys), cli._elements(records))) == reference_csv(keys, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(INT64, st.integers(0, 2**16 - 1), st.sampled_from("+-")), max_size=12), st.integers(1, 4))
+    def test_bytes_equal_those_of_the_lists(self, rows, batch):
+        with written_in_batches_of(batch):
+            self.check(np.array(rows, dtype=COLUMN_RECORD), rows)
+
+    def test_empty(self):
+        self.check(np.empty(0, dtype=COLUMN_RECORD), [])
+        assert "".join(cli._json_pieces(np.empty(0, dtype=np.int64))) == "[]"
+
+    def test_longer_than_a_batch_with_the_int64_extremes(self):
+        size = 3 * cli._BATCH + 5
+        rng = random.Random(17)
+        values = [-(2**63), 2**63 - 1] + [rng.randrange(-(2**63), 2**63) for _ in range(size - 4)] + [2**63 - 1, -(2**63)]
+        rows = [(v, i % 2**16, "+-"[i % 2]) for i, v in enumerate(values)]
+        self.check(np.array(rows, dtype=COLUMN_RECORD), rows)
+
+    def test_object_column_of_python_ints(self):
+        # nonranks_of's value column when a value reaches 2**63
+        rows = [(2**63 + 3 * i, i, "+-"[i % 2]) for i in range(cli._BATCH + 3)]
+        dtype = np.dtype([("value", object), ("n", np.int64), ("sign", "U1")])
+        records = np.empty(len(rows), dtype=dtype)
+        records["value"] = np.array([r[0] for r in rows], dtype=object)
+        records["n"], records["sign"] = [r[1] for r in rows], [r[2] for r in rows]
+        self.check(records, rows)
+
+
+def dict_remnant_rows(rep) -> list[list]:
+    """remnants' CSV rows as they were made before the columns: parents from a dict of the intruders."""
+    parent = dict(rep.intruders.tolist())
+    return [[v, "front_twin_rank" if v < rep.front_bound else ("intruder" if v in parent else "twin_rank"), parent.get(v)]
+            for v in rep.remnants.tolist()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(primes_between(5, 200)), st.integers(1, 40_000), st.integers(1, 64))
+def test_remnant_rows_equal_the_dict_rows(level, bound, batch):
+    rep = remnants_below(level, bound)
+    with mock.patch.object(cli, "_BATCH", batch):
+        assert list(cli._remnant_rows(rep)) == dict_remnant_rows(rep)
+
+
+class TestNonRanksBeyondInt64:
+    # Digests of stdout before the terms became records; the values pass 2**63.
+    @pytest.mark.parametrize("argv,digest", [
+        ("nonranks --prime 4611686018427387847 --limit 18446744073709551616",
+         "2858ca92306ea85e97a54bb80fe2add456998fa135a72d616e8456f7c1336210"),
+        ("nonranks --prime 4611686018427387847 --limit 18446744073709551616 --emit csv",
+         "8f18202f9a7370a1553481fff2c1df8ee2e548fa1f37aa50df9f7e8a6f530c2d"),
+        ("nonranks --prime 100000000000031 --limit 9300000000000000000",
+         "c911b9fc28f50647e4c0e177a0a7c9a53bb4f811c90b913c213198ee951921ed"),
+    ], ids=["json", "csv", "json-longer-than-a-batch"])
+    def test_same_bytes(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_values_are_exact(self, capsys):
+        terms = run_json(capsys, "nonranks", "--prime", "4611686018427387847", "--limit", str(2**64))["results"]["terms"]
+        assert terms[-1] == {"value": "17678129737304986747", "n": "4", "sign": "-"}
 
 
 class TestDecimalString:

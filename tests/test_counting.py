@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import twinsieve.arith as arith
 import twinsieve.counting as counting
+import twinsieve.oracle as oracle
 import twinsieve.parallel as parallel
 from twinsieve.arith import next_prime, primes_between
 from twinsieve.counting import (
@@ -25,6 +26,7 @@ from twinsieve.counting import (
     twin_prime_constant,
 )
 from twinsieve.errors import CapacityError, DomainError
+from twinsieve.oracle import pi2_exact, sieve_segment
 from twinsieve.progressions import residue_set
 
 from reference_lists import (
@@ -235,6 +237,28 @@ class TestLegendre:
             assert rep.oracle_pi2 is not None and rep.oracle_window is not None
             assert rep.residual_pi2 == rep.estimate - rep.oracle_pi2
             assert rep.residual_window == rep.estimate - rep.oracle_window
+
+    @pytest.mark.parametrize("level", [7, 11, 13, 17])
+    def test_every_rank_of_the_period_is_sieved_once(self, monkeypatch, level):
+        row = counts_row(level)
+        want = (pi2_exact(6 * row.x + 1), pi2_exact(6 * row.L + 1))
+        sieved, calls = [], []
+
+        def recorded_segment(lo, hi):
+            sieved.append((lo, hi))
+            return sieve_segment(lo, hi)
+
+        def recorded_pi2(*args, **kwargs):  # legendre_pi2 calls the oracle through this module's global
+            calls.append(args)
+            return pi2_exact(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "sieve_segment", recorded_segment)
+        monkeypatch.setattr(counting, "pi2_exact", recorded_pi2)
+        rep = legendre_pi2(level)
+        assert (rep.oracle_pi2, rep.oracle_window) == want
+        assert calls == [(6 * rep.x + 1,), (6 * row.L + 1,)]
+        runs = sorted(((lo + 1) // 6, (hi - 2) // 6) for lo, hi in sieved)  # a run of ranks a..b sieves [6a-1, 6b+2)
+        assert [m for a, b in runs for m in range(a, b + 1)] == list(range(1, row.L + 1))
 
     def test_oracle_out_of_range_is_not_an_error(self):
         rep = legendre_pi2(11, ceiling=100)

@@ -1,0 +1,56 @@
+"""Peak memory of the list commands, each against the start-up floor of counts --level 5.
+
+Every command runs as a CLI in a fresh interpreter, and its peak RSS is the
+ru_maxrss that wait4 reports.  On Linux a child's ru_maxrss starts at the RSS
+of the process that forked it, so each command is forked by a small launcher
+interpreter, never by the test process itself.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Forks argv with stdout to /dev/null and prints [exit code, ru_maxrss in kB].
+LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stdin=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "child.returncode = os.waitstatus_to_exitcode(status)\n"
+    "print(f'[{child.returncode}, {usage.ru_maxrss}]')\n"
+)
+
+# The list commands, each of which once held its whole payload as Python ints
+# (the cold and the warm constants run share one cache directory).
+LIST_COMMANDS = [
+    "constants --level 19 --cache-dir {cache}",
+    "constants --level 19 --cache-dir {cache}",
+    "remnants --level 61 --bound 1000000",
+    "twins --limit 20000000",
+]
+ALLOWED_MB = 20
+
+
+def peak_mb(argv: list[str]) -> float:
+    out = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "twinsieve.cli", *argv],
+        capture_output=True, text=True, env={"PYTHONPATH": str(SRC)}, check=True,
+    ).stdout
+    code, kb = json.loads(out)
+    assert code == 0, argv
+    return kb / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss semantics are Linux's")
+def test_list_commands_stay_near_the_start_up_floor(tmp_path):
+    floor = peak_mb(["counts", "--level", "5"])
+    peaks = {}
+    for i, command in enumerate(LIST_COMMANDS):
+        argv = command.replace("{cache}", str(tmp_path / "cache")).split()
+        peaks[f"{i}: {command}"] = round(peak_mb(argv) - floor, 1)
+    assert (tmp_path / "cache" / "constants-19.txt").is_file()  # the second run read the cache
+    assert max(peaks.values()) <= ALLOWED_MB, peaks

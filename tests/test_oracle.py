@@ -1,9 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twinsieve.oracle as oracle
 from twinsieve.counting import m_bound
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import (
+    DEFAULT_CEILING,
+    SIEVE_GUARD,
     pi2_exact,
     sieve_segment,
     twin_ranks_up_to,
@@ -84,25 +88,79 @@ class TestPi2:
             pi2_exact(-1)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 200_000), st.integers(1, 40_000))
+    def test_first_rank(self, y, first_rank):
+        want = sum(1 for m in range(first_rank, (y - 1) // 6 + 1) if REF_FLAGS[6 * m - 1] and REF_FLAGS[6 * m + 1])
+        assert pi2_exact(y, first_rank=first_rank) == want
+
+    def test_first_rank_domain(self):
+        with pytest.raises(DomainError):
+            pi2_exact(100, first_rank=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30_000), st.integers(0, 3_000))
+def test_twin_truth_equals_the_gathered_sides(m_lo, width):
+    m_hi = m_lo + width
+    comp = sieve_segment(6 * m_lo - 1, 6 * m_hi + 2)
+    idx = 6 * np.arange(width + 1)
+    truth = oracle._twin_truth(m_lo, m_hi)
+    assert truth.dtype == bool and np.array_equal(truth, ~comp[idx] & ~comp[idx + 2])
+
+
+class TestSieveGuard:
+    """Whatever the ceiling, the oracle sieves no number above SIEVE_GUARD, and refuses before sieving any."""
+
+    @pytest.fixture(autouse=True)
+    def no_sieving(self, monkeypatch):
+        def sieved(lo, hi):
+            raise AssertionError(f"[{lo}, {hi}) was sieved")
+
+        monkeypatch.setattr(oracle, "sieve_segment", sieved)
+
+    def test_refusals(self):
+        over = SIEVE_GUARD + 1
+        with pytest.raises(CapacityError, match=f"y = {over} exceeds the oracle's sieve guard {SIEVE_GUARD}"):
+            pi2_exact(over, ceiling=10 * SIEVE_GUARD)
+        limit = SIEVE_GUARD // 6 + 1  # 6*limit+1 just above the guard
+        with pytest.raises(CapacityError, match="sieve guard"):
+            twin_ranks_up_to(limit, ceiling=10 * SIEVE_GUARD)
+        with pytest.raises(CapacityError, match="sieve guard"):
+            verify_classify(limit, ceiling=10 * SIEVE_GUARD)
+
+    def test_the_ceiling_is_checked_first(self):
+        with pytest.raises(CapacityError, match="exceeds the sieve ceiling 100$"):
+            pi2_exact(SIEVE_GUARD + 1, ceiling=100)
+
+    @pytest.mark.parametrize("y, ceiling", [(DEFAULT_CEILING, DEFAULT_CEILING), (6 * 1_078_282_205 + 1, 7 * 10**9),
+                                            (SIEVE_GUARD, 10 * SIEVE_GUARD)],
+                             ids=["default-ceiling", "level-29-period", "at-the-guard"])
+    def test_accepted(self, monkeypatch, y, ceiling):
+        monkeypatch.setattr(oracle, "_rank_chunks", lambda *args: [])  # accept, then sieve nothing
+        assert pi2_exact(y, ceiling=ceiling) == 0
+
+
 class TestTwinRankStream:
     def test_example_1(self):
-        assert list(twin_ranks_up_to(18).ranks) == TWIN_RANKS_TO_18
+        assert twin_ranks_up_to(18).ranks.tolist() == TWIN_RANKS_TO_18
 
     def test_example_7(self):
-        assert list(twin_ranks_up_to(747).ranks) == REMNANTS_61_BELOW_748
+        assert twin_ranks_up_to(747).ranks.tolist() == REMNANTS_61_BELOW_748
 
     def test_empty(self):
-        assert twin_ranks_up_to(0).ranks == ()
+        assert twin_ranks_up_to(0).ranks.tolist() == []
 
     def test_ascending_and_duplicate_free(self):
-        ranks = twin_ranks_up_to(50_000).ranks
+        ranks = twin_ranks_up_to(50_000).ranks.tolist()
         assert all(a < b for a, b in zip(ranks, ranks[1:]))
 
     def test_segment_size_independence(self, monkeypatch):
         streams = []
         for size in (1 << 10, 1 << 16, 1 << 20):
             spans = _segments_sieved(monkeypatch, size)
-            streams.append(twin_ranks_up_to(40_000))
+            stream = twin_ranks_up_to(40_000)
+            streams.append((stream.limit, stream.ranks.dtype, stream.ranks.tolist()))
             assert spans == _expected_spans(40_000, size)
         assert streams[0] == streams[1] == streams[2]
 
@@ -117,7 +175,7 @@ class TestVerifyClassify:
         assert rep.mismatches == ()
         assert rep.twin_ranks == len(TWIN_RANKS_TO_18)
         assert rep.non_ranks == len(NON_RANKS_TO_19)
-        found_non_ranks = sorted(set(range(1, 20)) - set(twin_ranks_up_to(19).ranks))
+        found_non_ranks = sorted(set(range(1, 20)) - set(twin_ranks_up_to(19).ranks.tolist()))
         assert found_non_ranks == NON_RANKS_TO_19
 
     def test_clean_at_fifty_thousand(self):
@@ -152,12 +210,12 @@ class TestCrossModule:
         bound = m_bound(next_prime(level))
         rep = remnants_below(level, bound)
         stream = twin_ranks_up_to(bound - 1)
-        assert list(rep.remnants) == list(stream.ranks)
-        assert rep.intruders == ()
+        assert rep.remnants.tolist() == stream.ranks.tolist()
+        assert rep.intruders.tolist() == []
 
     def test_partition_of_initial_segment(self):
         limit = 100_000
-        twins = set(twin_ranks_up_to(limit).ranks)
+        twins = set(twin_ranks_up_to(limit).ranks.tolist())
         rep = verify_classify(limit)
         assert rep.twin_ranks == len(twins)
         assert rep.non_ranks == limit - len(twins)

@@ -241,39 +241,39 @@ class TestBoundaryValues:
 class TestRemnants:
     def test_level_61_example(self):
         rep = remnants_below(61, 748)
-        assert list(rep.remnants) == REMNANTS_61_BELOW_748
+        assert rep.remnants.tolist() == REMNANTS_61_BELOW_748
         assert rep.front_bound == 748
-        assert list(rep.front_twin_ranks) == REMNANTS_61_BELOW_748
-        assert rep.intruders == ()
-        for m in rep.remnants:
+        assert rep.front_twin_ranks.tolist() == REMNANTS_61_BELOW_748
+        assert rep.intruders.tolist() == []
+        for m in rep.remnants.tolist():
             assert classify(m).is_twin_rank
 
     def test_level_7_below_20(self):
         rep = remnants_below(7, 20)
-        assert list(rep.remnants) == [1, 2, 3, 5, 7, 10, 12, 17, 18]
+        assert rep.remnants.tolist() == [1, 2, 3, 5, 7, 10, 12, 17, 18]
         assert rep.front_bound == 20
-        assert list(rep.front_twin_ranks) == list(rep.remnants)
+        assert rep.front_twin_ranks.tolist() == rep.remnants.tolist()
 
     def test_level_5_below_5(self):
-        assert list(remnants_below(5, 5).remnants) == [1, 2, 3]
+        assert remnants_below(5, 5).remnants.tolist() == [1, 2, 3]
 
     def test_level_7_full_period_finds_intruder(self):
         rep = remnants_below(7, 35)
-        assert list(rep.remnants) == [1, 2, 3, 5, 7, 10, 12, 17, 18, 23, 25, 28, 30, 32, 33]
-        assert list(rep.front_twin_ranks) == TWIN_RANKS_TO_18
-        assert rep.intruders == ((28, 13),)
+        assert rep.remnants.tolist() == [1, 2, 3, 5, 7, 10, 12, 17, 18, 23, 25, 28, 30, 32, 33]
+        assert rep.front_twin_ranks.tolist() == TWIN_RANKS_TO_18
+        assert rep.intruders.tolist() == [(28, 13)]
 
     def test_intruder_parents_exceed_level(self):
         for level, bound in ((7, 200), (11, 500), (13, 900)):
             rep = remnants_below(level, bound)
-            for value, parent in rep.intruders:
+            for value, parent in rep.intruders.tolist():
                 assert parent > level
                 assert not classify(value).is_twin_rank
 
     def test_front_remnants_are_twin_ranks(self):
         for level in (7, 11, 13):
             rep = remnants_below(level, 1000)
-            for m in rep.front_twin_ranks:
+            for m in rep.front_twin_ranks.tolist():
                 assert classify(m).is_twin_rank
 
     @pytest.mark.parametrize(
@@ -281,7 +281,10 @@ class TestRemnants:
     )
     def test_matches_strike_loop_and_classify(self, level, bound):
         rep = remnants_below(level, bound)
-        assert (rep.front_bound, rep.remnants, rep.front_twin_ranks, rep.intruders) == slow_remnants(level, bound)
+        columns = (rep.remnants, rep.front_twin_ranks, rep.intruders["value"])
+        assert all(c.dtype == np.int64 for c in columns) and rep.intruders.dtype.names == ("value", "parent")
+        got = (rep.front_bound, *(tuple(c.tolist()) for c in (rep.remnants, rep.front_twin_ranks, rep.intruders)))
+        assert got == slow_remnants(level, bound)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError, match=str(REMNANTS_GUARD)):
@@ -479,7 +482,7 @@ class TestGapPattern:
 
         for p in [q for q in range(5, 101) if all(q % d for d in range(2, q))]:
             a, b = gap_pattern(p)
-            values = [t.value for t in nonranks_of(p, 50 * p + p)]
+            values = nonranks_of(p, 50 * p + p)["value"].tolist()
             gaps = [v2 - v1 for v1, v2 in zip(values, values[1:])]
             assert set(gaps) <= {a, b}
             for g1, g2 in zip(gaps, gaps[1:]):
