@@ -66,58 +66,66 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# The engine's prime sieve: blocks of SPAN numbers from 3 up, one flag per odd
-# number.  A block of at least WHEEL_PERIOD flags is tiled from the odd
-# multiples of the wheel primes, which repeat every WHEEL_PERIOD odd numbers;
-# a shorter block strikes the wheel primes like any other and never builds the
-# period.  The oracle keeps its own sieve.
+# The engine's prime sieve, in rank space: flag 2r + s of a block (less 2*r_lo)
+# stands for 6r - 1 (s = 0) or 6r + 1 (s = 1).  The oracle keeps its own sieve.
 SPAN = 1 << 22
-WHEEL = (3, 5, 7, 11, 13, 17)
-WHEEL_PERIOD = math.prod(WHEEL)
+RANK_PERIOD = 5 * 7 * 11 * 13 * 17
+
+
+def _strike(flags: np.ndarray, r_lo: int, q: np.ndarray, first) -> np.ndarray:
+    """flags, from rank r_lo, set on each prime q's non-rank classes +-N(q/6) (mod q) from rank first up (q >= 5)."""
+    n = (q + 1) // 6  # N(q/6), whether q is 6n - 1 or 6n + 1
+    minus = np.where(q % 6 == 5, n, q - n)  # the class where q divides 6r - 1; q - minus, where it divides 6r + 1
+    for side, cls in enumerate((minus, q - minus)):
+        for stride, off in zip((2 * q).tolist(), (2 * ((cls - first) % q + first - r_lo) + side).tolist()):
+            flags[off::stride] = True
+    return flags
 
 
 @functools.cache
-def _wheel_pattern() -> np.ndarray:
-    """Flags of the odd multiples of WHEEL over one period, index j for 2j+1."""
-    pattern = np.zeros(WHEEL_PERIOD, dtype=bool)
-    for q in WHEEL:
-        pattern[(q - 1) // 2 :: q] = True
-    return pattern
+def _rank_wheel() -> np.ndarray:
+    """Two turns of the rank wheel: flags set where a prime 5..17 divides the number, a period of RANK_PERIOD ranks."""
+    return _strike(np.zeros(4 * RANK_PERIOD, dtype=bool), 0, np.array([5, 7, 11, 13, 17]), 0)
 
 
 def odd_prime_blocks(cutoff: int, start: int = 3):
     """Yield int64 arrays of the primes in [lo, hi), for lo = start + k*SPAN and hi <= cutoff + 1.
 
     start must be a block edge 3 + k*SPAN, so a stream started there yields
-    exactly the tail of the stream from 3.  Flag j of the stream stands for the
-    odd number 2j+1, and flag i of a block for lo + 2i.  The odd multiples of a
-    prime p are the j = (p-1)/2 (mod p), so each base prime strikes every p-th
-    flag from the first such j in the block that is at least p*p.  The base
-    primes are the wheel's, which a tiled block skips, and 19 up to
-    isqrt(cutoff), which come from the stream itself run to that root.
+    exactly the tail of the stream from 3.  A block's flags, over the ranks
+    (lo+1)//6 .. (hi+1)//6, double one period of the rank wheel; the base
+    primes 19..isqrt(hi - 1), from the stream itself, strike from their first
+    class member at least q*q.  Block 0 keeps 5..17 and puts 3 in front.
     """
     if start < 3 or (start - 3) % SPAN:
         raise DomainError(f"odd_prime_blocks starts at a block edge 3 + k*{SPAN}, got {start}")
     root = math.isqrt(cutoff)
-    base = np.array(WHEEL, dtype=np.int64)
-    if root > WHEEL[-1]:
-        tail = np.concatenate(list(odd_prime_blocks(root)))
-        base = np.concatenate([base, tail[tail > WHEEL[-1]]])
-    half, square = (base - 1) // 2, (base * base - 1) // 2
-    for lo in range(start, cutoff + 1, SPAN):
-        hi = min(lo + SPAN, cutoff + 1)
-        j0, size = (lo - 1) // 2, (hi - lo + 1) // 2
-        if size < WHEEL_PERIOD:
-            comp, first = np.zeros(size, dtype=bool), 0
-        else:
-            comp, first = np.resize(np.roll(_wheel_pattern(), -(j0 % WHEEL_PERIOD)), size), len(WHEEL)
-            if lo == 3:
-                comp[[(q - 3) // 2 for q in WHEEL]] = False
+    base = np.concatenate(list(odd_prime_blocks(root))) if root >= 19 else np.empty(0, dtype=np.int64)
+    base = base[base >= 19]
+    square, wheel = (base * base - 1) // 6, _rank_wheel()  # q*q = 6*square + 1
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        r_lo = (lo + 1) // 6
+        size = 2 * ((hi + 1) // 6 - r_lo + 1)
+        flags, filled = np.empty(size, dtype=bool), min(size, 2 * RANK_PERIOD)
+        flags[:filled] = wheel[2 * (r_lo % RANK_PERIOD) :][:filled]
+        while filled < size:
+            flags[filled : 2 * filled] = flags[: size - filled][:filled]
+            filled *= 2
+        if lo == 3:
+            flags[2:7] = False  # 5..17 themselves
         k = int(np.searchsorted(base, math.isqrt(hi - 1), side="right"))
-        offsets = np.maximum(square[first:k] - j0, (half[first:k] - j0) % base[first:k])
-        for off, p in zip(offsets.tolist(), base[first:k].tolist()):
-            comp[off::p] = True
-        yield 2 * np.flatnonzero(~comp) + lo
+        _strike(flags, r_lo, base[:k], np.maximum(square[:k], r_lo))
+        vals = np.flatnonzero(np.logical_not(flags, out=flags))  # the in-place steps that follow allocate nothing
+        vals *= 3
+        vals &= -2  # 3f less its low bit: 6i for flag 2i, 6i + 2 for flag 2i + 1
+        vals += 6 * r_lo - 1
+        if lo == 3:
+            vals[1] = 3  # in place of 1; the trim drops -1
+        return vals[np.searchsorted(vals, lo) : np.searchsorted(vals, hi)]
+
+    for lo in range(start, cutoff + 1, SPAN):
+        yield block(lo, min(lo + SPAN, cutoff + 1))  # nothing of a block but its primes outlives the yield
 
 
 _sieved: tuple[int, np.ndarray] = (1, np.empty(0, dtype=np.int64))

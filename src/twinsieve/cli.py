@@ -210,10 +210,18 @@ def _json_pieces(obj, indent: str = ""):
         yield _scalar(obj)
 
 
+def _csv_cells(column: tuple):
+    """The CSV cells of one column of a batch: a C-level map if all are ints of at most _DIRECT_BITS, or all strings."""
+    if (kinds := set(map(type, column))) == {int} and max(map(int.bit_length, column)) <= _DIRECT_BITS:
+        return map("%d".__mod__, column)
+    return column if kinds == {str} else map(_cell, column)
+
+
 def _csv_pieces(header: list[str], rows: Iterable):
-    """The CSV text of the header and the rows, a batch of lines per piece."""
-    lines = (",".join(map(_cell, row)) + "\n" for row in chain([header], rows))
-    return ("".join(batch) for batch in _batches(lines))
+    """The CSV text of the header and the rows, a batch of lines per piece, each batch formatted column by column."""
+    yield ",".join(map(_cell, header)) + "\n"
+    for batch in _batches(rows):
+        yield "\n".join(map(",".join, zip(*map(_csv_cells, zip(*batch))))) + "\n"
 
 
 def _record(report) -> dict:

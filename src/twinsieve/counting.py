@@ -12,7 +12,6 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,9 +39,9 @@ LEVEL_GUARD = 10**6
 LEGENDRE_GUARD = 23
 MAINTERM_GUARD = 19
 # Largest prime cutoff of the truncated c2 product, the one tolerance 1e-10
-# needs: c2 --tol 1e-10 takes 7.7 s at 39 MB on a 2-core host, its blocks split
-# over both cores (14.4 s in one process), and each tenfold tightening costs
-# more than tenfold (1e-12 would take hours).
+# needs: c2 --tol 1e-10 takes 13.6-17.6 s at 33 MB on a 2-core host, its blocks
+# split over both cores (17.0 s in one process), and each tenfold tightening
+# costs more than tenfold (1e-12 would take hours).
 C2_GUARD = 6_666_666_673
 
 
@@ -345,7 +344,7 @@ def twin_prime_constant(tolerance: float = 1e-6) -> float:
 C2_CHUNK_BLOCKS = 16
 
 
-@lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8)
 def _c2_partial(cutoff: int) -> float:
     # The float sum is pinned by the block edges: one numpy pairwise sum per
     # block of primes in [3 + k*SPAN, 3 + (k+1)*SPAN), added in block order.
@@ -369,8 +368,8 @@ def _c2_block_sums(run: tuple[int, int]) -> list[float]:
     hi, lo = run
     sums = []
     for block in odd_prime_blocks(hi, lo):
-        ps = block.astype(np.float64)
-        sums.append(float(np.log1p(-1.0 / ((ps - 1.0) ** 2)).sum()))
+        d = np.subtract(block, 1.0, dtype=np.float64)  # log1p(-1.0 / (p - 1.0)**2) in one buffer: the same bits
+        sums.append(float(np.log1p(np.divide(-1.0, np.square(d, out=d), out=d), out=d).sum()))
     return sums
 
 

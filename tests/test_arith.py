@@ -101,19 +101,6 @@ class TestPrimeCache:
         assert primes_between(lo, hi) == oracle_primes(lo, hi)
         assert arith._sieved[0] == 1 << 17
 
-    def test_wheel_period_is_built_only_for_a_block_that_holds_one(self, monkeypatch):
-        built, period = [], arith._wheel_pattern
-
-        def recorded():
-            built.append(1)
-            return period()
-
-        monkeypatch.setattr(arith, "_wheel_pattern", recorded)
-        assert primes_between(0, 1 << 18) == oracle_primes(0, 1 << 18)  # 131,071 flags: struck directly
-        assert built == []
-        assert primes_between((1 << 19) - 1000, 1 << 19) == oracle_primes((1 << 19) - 1000, 1 << 19)
-        assert built == [1]  # 262,143 flags: tiled from the period
-
     @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
     def test_after_regrowth(self, descending):
         his = [10, 1 << 16, (1 << 16) + 1, (1 << 17) + 5, 10**6, 3 + 2 * arith.SPAN, 3 * arith.SPAN + 7]

@@ -550,6 +550,30 @@ class TestColumnWriter:
         self.check(records, rows)
 
 
+# Columns of one kind each, so that some batches are all ints or all strings and take the column path.
+CSV_COLUMNS = {
+    "int": st.integers() | st.integers(2**64, 2**80) | st.builds(lambda d: -(10**d) - 7, st.integers(600, 700)),
+    "str": st.text(),
+    "bool": st.booleans(),
+    "mixed": st.none() | st.booleans() | st.integers(2**64 - 2, 2**64 + 2) | st.fractions() | st.text()
+    | st.lists(st.integers() | st.fractions(), max_size=3) | st.floats(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from(sorted(CSV_COLUMNS)), min_size=1, max_size=4).flatmap(
+        lambda kinds: st.lists(st.tuples(*(CSV_COLUMNS[k] for k in kinds)), max_size=10)
+    ),
+    st.integers(1, 4),
+)
+def test_csv_columns_equal_the_cell_by_cell_reference(rows, batch):
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 2)]
+    reference = "".join(",".join(map(cli._cell, row)) + "\n" for row in [header, *rows])
+    with written_in_batches_of(batch):
+        assert "".join(cli._csv_pieces(header, iter(rows))) == reference
+
+
 def dict_remnant_rows(rep) -> list[list]:
     """remnants' CSV rows as they were made before the columns: parents from a dict of the intruders."""
     parent = dict(rep.intruders.tolist())

@@ -1,6 +1,8 @@
+import collections
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -482,13 +484,39 @@ class TestC2PrimeStream:
             assert g.dtype == w.dtype == np.int64
             assert g.shape == w.shape and np.array_equal(g, w)
 
-    @pytest.mark.parametrize("flags", [arith.WHEEL_PERIOD - 1, arith.WHEEL_PERIOD, arith.WHEEL_PERIOD + 1])
+    @pytest.mark.parametrize("odd", [3 * arith.RANK_PERIOD - 1, 3 * arith.RANK_PERIOD, 3 * arith.RANK_PERIOD + 1])
     @pytest.mark.parametrize("lo", [3, 3 + arith.SPAN])
-    def test_blocks_either_side_of_one_wheel_period(self, lo, flags):
-        # A last block of fewer flags than one period is struck directly, one of a period or more is tiled.
-        for cutoff in (lo + 2 * flags - 2, lo + 2 * flags - 1):
+    def test_blocks_either_side_of_one_wheel_period(self, lo, odd):
+        # One turn of the rank wheel is 6 * RANK_PERIOD numbers, 3 * RANK_PERIOD odd ones.  A last block of
+        # fewer is one cut copy of the wheel, one of more is doubled; together the cutoffs run one rank either side.
+        for cutoff in range(lo + 2 * odd - 4, lo + 2 * odd + 4):
             got, want = list(arith.odd_prime_blocks(cutoff)), list(slow_prime_blocks(cutoff))
-            assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want)), cutoff
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 3 * arith.SPAN), st.integers(0, 3))
+    def test_blocks_from_a_block_edge_equal_the_reference_tail(self, cutoff, k):
+        got = list(arith.odd_prime_blocks(cutoff, 3 + k * arith.SPAN))
+        want = list(slow_prime_blocks(cutoff))[k:]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64 and np.array_equal(g, w)
+
+    def test_no_block_outlives_its_yield(self):
+        # At 3 * SPAN + 7 (four blocks) block 0 is the largest: 1,398,104 flags and 2,367,568 bytes of primes,
+        # and the peak measured 3,776,508 bytes.  A second block's flags or primes alive at once, or a temporary
+        # the size of the primes, would break the bound.
+        cutoff = 3 * arith.SPAN + 7
+        blocks = list(arith.odd_prime_blocks(cutoff))
+        bound = 2 * ((3 + arith.SPAN + 1) // 6 + 1) + max(b.nbytes for b in blocks) + (1 << 16)
+        del blocks
+        tracemalloc.start()
+        try:
+            collections.deque(arith.odd_prime_blocks(cutoff), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-6, 1e-7])
     def test_c2_bits_equal_the_reference(self, tol):
