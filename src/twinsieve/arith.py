@@ -8,6 +8,7 @@ detectable instead of silently rounded.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -24,24 +25,24 @@ _MR_TIERS = (
     (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
 )
 
-_TRIAL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+# The primes to 211 and their product: one gcd with it stands for 47 trial divisions.
+_SMALL_PRIMES = frozenset(p for p in range(2, 212) if all(p % q for q in range(2, p)))
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 PRIMALITY_LIMIT = 1 << 64
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2**64."""
+    """Deterministic primality test for 0 <= n < 2**64.
+
+    One gcd settles n with a prime factor to 211 and n below 223**2; only the rest reach Miller-Rabin.
+    """
     if n >= PRIMALITY_LIMIT:
         raise CapacityError(f"deterministic primality is limited to n < 2**64, got {n}")
-    if n < 2:
-        return False
-    for p in _TRIAL:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    if n < 61 * 61:
-        return True
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
+    if n < 223 * 223:
+        return n > 1
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -200,8 +201,8 @@ def _small_primes() -> tuple[int, ...]:
 def smallest_prime_factor(n: int) -> int:
     """Least prime dividing n >= 2 (returns n itself when n is prime).
 
-    Trial division by the primes below TRIAL_BOUND, then Miller-Rabin, then
-    Brent's rho on what is left, so memory stays constant for every n < 2**64.
+    One gcd with the product of the primes to 211, trial division by the rest below TRIAL_BOUND,
+    Miller-Rabin, then Brent's rho on what is left, so memory stays constant for every n < 2**64.
     Raises CapacityError for n >= 2**64 without a prime factor below the bound.
     """
     if n < 2:
@@ -213,9 +214,18 @@ def trial_factor(n: int, below: int = TRIAL_BOUND) -> int:
     """Least prime p < min(below, TRIAL_BOUND) dividing n >= 2, or 0 when none does.
 
     Returns n itself once p passes isqrt(n) with no divisor found: n is prime.
+    For n >= 223**2 and below > 223, one gcd names a factor to 211 or starts the scan at 223.
     """
+    primes = _small_primes()
+    if n >= 223 * 223 and below > 223:
+        g = math.gcd(n, _SMALL_PRODUCT)
+        if g != 1:
+            for p in primes:  # returns by 211: g is a product of primes to 211
+                if g % p == 0:
+                    return p
+        primes = itertools.islice(primes, len(_SMALL_PRIMES), None)
     root = math.isqrt(n)
-    for p in _small_primes():
+    for p in primes:
         if p >= below:
             return 0
         if p > root:

@@ -6,8 +6,9 @@ p >= 5 and n >= 0; classification recovers the least such parent prime from
 the factorization of the composite side(s).
 
 The parent is the least of the composite sides' least prime factors.  Each
-comes from arith.smallest_prime_factor: trial division by the primes below
-2**16, then deterministic Miller-Rabin, then Brent's rho on what is left, so
+comes from arith.smallest_prime_factor: one gcd with the product of the primes
+to 211 (is_prime starts with the same gcd), trial division by the primes from
+223 to 2**16, deterministic Miller-Rabin, then Brent's rho on what is left, so
 classification runs in constant memory for every m with 6m + 1 < 2**64.
 When both sides are composite, a trial factor a of 6m-1 leaves 6m+1 to trial
 division below a, and rho runs only when neither side has a factor below 2**16.
@@ -48,12 +49,13 @@ NONRANK_OBJECT = np.dtype([("value", object), ("n", np.int64), ("sign", "U1")]) 
 NONRANKS_GUARD = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Classification:
     """Verdict for m, with parent prime and witness data when m is a non-rank.
 
     For a non-rank, m = witness_kappa * parent + (witness_sign) * N(parent/6),
-    and composite_sides marks which of 6m-1, 6m+1 is composite.
+    and composite_sides marks which of 6m-1, 6m+1 is composite.  The constructor
+    fills the fields in one dict update, not six object.__setattr__ calls.
     """
 
     m: int
@@ -62,6 +64,10 @@ class Classification:
     composite_sides: tuple[str, ...] = ()
     witness_sign: str | None = None
     witness_kappa: int | None = None
+
+    def __init__(self, m, verdict, parent=None, composite_sides=(), witness_sign=None, witness_kappa=None):
+        self.__dict__.update(m=m, verdict=verdict, parent=parent, composite_sides=composite_sides,
+                             witness_sign=witness_sign, witness_kappa=witness_kappa)
 
     @property
     def is_twin_rank(self) -> bool:

@@ -22,8 +22,8 @@ DEFAULT_CEILING = 10**9
 # before any sieving.  pi2_exact(10**10) counts 27,412,678 pairs in 98 s at
 # 31 MB on one core of a 2-vCPU host; level 29's period, 6L+1 = 6,469,693,231,
 # stays within it.  At the guard twin_ranks_up_to would hold those ranks as
-# 219 MB of int64 (twice that while the segments are joined), and
-# verify_classify classifies every rank, about 83,000 a second per worker.
+# 219 MB of int64 (once: the array grows in place), and verify_classify
+# classifies every rank, about 120,000 a second per worker at m <= 3e5.
 SIEVE_GUARD = 10**10
 DEFAULT_SEGMENT = 1 << 20  # numbers per segment in pi2_exact and twin_ranks_up_to
 
@@ -109,8 +109,12 @@ def twin_ranks_up_to(limit_rank: int, *, ceiling: int = DEFAULT_CEILING) -> Twin
     if limit_rank < 0:
         raise DomainError(f"twin_ranks_up_to needs limit >= 0, got {limit_rank}")
     _check_extent(6 * limit_rank + 1, ceiling, f"6*{limit_rank}+1")
-    hits = [np.flatnonzero(_twin_truth(lo, hi)) + lo for lo, hi in _rank_chunks(1, limit_rank, DEFAULT_SEGMENT // 6)]
-    return TwinRankStream(limit_rank, np.concatenate(hits, dtype=np.int64) if hits else np.empty(0, np.int64))
+    ranks = np.empty(0, dtype=np.int64)
+    for lo, hi in _rank_chunks(1, limit_rank, DEFAULT_SEGMENT // 6):
+        hits, count = np.flatnonzero(_twin_truth(lo, hi)), ranks.size
+        ranks.resize(count + hits.size, refcheck=False)  # realloc: grows by remapping, not by a second copy
+        np.add(hits, lo, out=ranks[count:])
+    return TwinRankStream(limit_rank, ranks)
 
 
 @dataclass(frozen=True)

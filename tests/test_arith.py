@@ -14,6 +14,7 @@ from twinsieve.arith import (
     nsix,
     primes_between,
     smallest_prime_factor,
+    trial_factor,
 )
 from twinsieve.classify import classify
 from twinsieve.counting import counts_row, squarefree_terms
@@ -48,6 +49,87 @@ class TestIsPrime:
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             is_prime(1 << 64)
+
+
+# The trial primes and the loop trial_factor ran before its gcd against the
+# product of the primes to 211, with is_prime's trial division by the primes
+# to 59 and one strong-pseudoprime test with the seven bases that are
+# deterministic below 2**64: references that share no code with arith.
+TRIAL_PRIMES = [p for p in REF_PRIMES if p < arith.TRIAL_BOUND]
+BASES_BELOW_2_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+GCD_BELOWS = [2, 3, 5, 6, 7, 60, 61, 62, 211, 212, 223, 224, 1 << 16]
+
+
+def loop_trial_factor(n: int, below: int = arith.TRIAL_BOUND) -> int:
+    root = math.isqrt(n)
+    for p in TRIAL_PRIMES:
+        if p >= below:
+            return 0
+        if p > root:
+            return n
+        if n % p == 0:
+            return p
+    return 0
+
+
+def loop_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in TRIAL_PRIMES[:17]:  # 2..59
+        if n % p == 0:
+            return n == p
+    if n < 61 * 61:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in BASES_BELOW_2_64:
+        x = pow(a % n, d, n)
+        if a % n == 0 or x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TestGcdPath:
+    """is_prime and trial_factor, which start with one gcd against the product of the primes to 211."""
+
+    def test_is_prime_agrees_with_the_oracle_sieve_below_2e6(self):
+        want = ~sieve_segment(0, 2 * 10**6)
+        got = np.fromiter(map(is_prime, range(2 * 10**6)), dtype=bool, count=want.size)
+        assert not np.flatnonzero(got != want).tolist()
+
+    @pytest.mark.parametrize("p", [193, 197, 199, 211, 223, 227, 229])
+    def test_products_of_two_primes_around_211_and_223(self, p):
+        # 223**2 = 49,729 is the least composite with no factor to 211.
+        for q in (193, 197, 199, 211, 223, 227, 229):
+            assert not is_prime(p * q)
+            assert trial_factor(p * q) == min(p, q) == loop_trial_factor(p * q)
+        assert is_prime(p)
+
+    def test_trial_factor_equals_the_loop_below_60000(self):
+        for below in GCD_BELOWS:
+            got = [trial_factor(n, below) for n in range(2, 60_000)]
+            assert got == [loop_trial_factor(n, below) for n in range(2, 60_000)], below
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(min_value=2, max_value=(1 << 64) - 1),
+            # Multiples of a prime near the gcd's last prime, and n just past 223**2.
+            st.builds(operator.mul, st.sampled_from(REF_PRIMES[40:60]), st.integers(min_value=1, max_value=1 << 55)),
+            st.integers(min_value=223 * 223 - 500, max_value=223 * 223 + 500),
+        ),
+        st.sampled_from(GCD_BELOWS),
+    )
+    def test_random_n_below_2_64_equal_the_loops(self, n, below):
+        assert is_prime(n) == loop_is_prime(n)
+        assert trial_factor(n, below) == loop_trial_factor(n, below)
 
 
 class TestPrimesBetween:

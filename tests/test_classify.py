@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import math
 import time
 
@@ -12,7 +14,10 @@ from twinsieve.classify import (
     NON_RANK,
     SIDE_MINUS,
     SIDE_PLUS,
+    SIGN_MINUS,
+    SIGN_PLUS,
     TWIN_RANK,
+    Classification,
     classify,
     nonranks_of,
     rank_from_prime,
@@ -135,6 +140,82 @@ class TestClassify:
         for m in range(1, 20_000):
             want = REF_FLAGS[6 * m - 1] and REF_FLAGS[6 * m + 1]
             assert classify(m).is_twin_rank == want
+
+
+def least_prime_factors(limit: int) -> np.ndarray:
+    """The least prime factor of every n <= limit (n itself for a prime), by a numpy sieve that shares no code with arith."""
+    lpf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(limit) + 1):
+        if lpf[p] == 0:
+            multiples = lpf[p * p :: p]
+            multiples[multiples == 0] = p
+    unset = np.flatnonzero(lpf == 0)
+    lpf[unset] = unset
+    return lpf
+
+
+class TestAgainstALeastFactorSieve:
+    def test_every_field_to_2e5(self):
+        top = 200_000
+        m = np.arange(1, top + 1)
+        lpf = least_prime_factors(6 * top + 1)
+        a, b = lpf[6 * m - 1], lpf[6 * m + 1]
+        minus_comp, plus_comp = a != 6 * m - 1, b != 6 * m + 1
+        parent = np.where(minus_comp & plus_comp, np.minimum(a, b), np.where(minus_comp, a, b))
+        off = np.where(parent % 6 == 5, (parent + 1) // 6, (parent - 1) // 6)
+        plus_sign = m % parent == off % parent
+        kappa = np.where(plus_sign, (m - off) // parent, (m + off) // parent)
+        for k, c in enumerate(map(classify, range(1, top + 1))):
+            if not (minus_comp[k] or plus_comp[k]):
+                want = (k + 1, TWIN_RANK, None, (), None, None)
+            else:
+                sides = (SIDE_MINUS,) * bool(minus_comp[k]) + (SIDE_PLUS,) * bool(plus_comp[k])
+                sign = SIGN_PLUS if plus_sign[k] else SIGN_MINUS
+                want = (k + 1, NON_RANK, int(parent[k]), sides, sign, int(kappa[k]))
+            got = (c.m, c.verdict, c.parent, c.composite_sides, c.witness_sign, c.witness_kappa)
+            assert got == want
+
+    def test_one_prime_side_calls_the_module_globals(self, monkeypatch):
+        # The traced benchmark wraps these two names where classify looks them up.
+        calls = []
+
+        def spy(name):
+            def call(n):
+                calls.append((name, n))
+                return getattr(arith, name)(n)
+            return call
+
+        for name in ("is_prime", "smallest_prime_factor"):
+            monkeypatch.setattr(classify_module, name, spy(name))
+        assert classify(4).parent == 5  # 23 prime, 25 = 5 * 5
+        assert calls == [("is_prime", 23), ("is_prime", 25), ("smallest_prime_factor", 25)]
+
+
+class TestClassificationRecord:
+    """The constructor fills a frozen dataclass without its generated __init__."""
+
+    def test_constructor_takes_the_fields_with_their_defaults(self):
+        params = inspect.signature(Classification).parameters.values()
+        fields = dataclasses.fields(Classification)
+        assert [p.name for p in params] == [f.name for f in fields]
+        assert [p.default for p in params][1:] == [inspect.Parameter.empty] + [f.default for f in fields[2:]]
+        assert dataclasses.astuple(Classification(5, TWIN_RANK)) == (5, TWIN_RANK, None, (), None, None)
+
+    @pytest.mark.parametrize("m", [1, 4, 20, 28, 35, BALANCED_PLUS_M])
+    def test_equality_and_hash(self, m):
+        c = classify(m)
+        by_name = Classification(**{f.name: getattr(c, f.name) for f in dataclasses.fields(c)})
+        assert c == by_name and hash(c) == hash(by_name) == hash(dataclasses.astuple(c))
+        assert c != dataclasses.replace(c, m=m + 1) and c != dataclasses.astuple(c)
+        assert repr(c) == repr(by_name) and list(vars(c)) == [f.name for f in dataclasses.fields(c)]
+
+    def test_assignment_raises(self):
+        c = classify(4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.parent = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del c.m
+        assert c.parent == 5
 
 
 class TestTwinIndex:
