@@ -23,7 +23,9 @@ DEFAULT_CEILING = 10**9
 # 31 MB on one core of a 2-vCPU host; level 29's period, 6L+1 = 6,469,693,231,
 # stays within it.  At the guard twin_ranks_up_to would hold those ranks as
 # 219 MB of int64 (once: the array grows in place), and verify_classify
-# classifies every rank, about 120,000 a second per worker at m <= 3e5.
+# classifies every rank: 240,000-430,000 a second per worker at m <= 3e5,
+# where classify reads the least-factor table (the scalar path ran 160,000-
+# 200,000 on the same 2-vCPU host).
 SIEVE_GUARD = 10**10
 DEFAULT_SEGMENT = 1 << 20  # numbers per segment in pi2_exact and twin_ranks_up_to
 

@@ -1,5 +1,8 @@
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -13,3 +16,15 @@ def simple_sieve(limit: int) -> list[bool]:
             step = len(range(i * i, limit + 1, i))
             flags[i * i :: i] = [False] * step
     return flags
+
+
+def least_prime_factors(limit: int) -> np.ndarray:
+    """The least prime factor of every n <= limit (n itself for a prime), by a numpy sieve that shares no code with arith."""
+    lpf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(limit) + 1):
+        if lpf[p] == 0:
+            multiples = lpf[p * p :: p]
+            multiples[multiples == 0] = p
+    unset = np.flatnonzero(lpf == 0)
+    lpf[unset] = unset
+    return lpf

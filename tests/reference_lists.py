@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from twinsieve.arith import is_prime, nsix, smallest_prime_factor
+from twinsieve.arith import is_prime, nsix, rough_least_prime, trial_factor
 from twinsieve.classify import (
     NON_RANK,
     SIDE_MINUS,
@@ -129,16 +129,20 @@ def slow_nested_form(primes, signs, residue: int, outer_index: int = 0) -> str:
 
 
 def slow_classify(m: int) -> Classification:
-    """classify with every composite side factored in full: parent = min of their least prime factors."""
+    """classify with every composite side factored in full: parent = min of their least prime factors.
+
+    Each least factor comes from the scalar path, trial_factor then rough_least_prime, never
+    from the least-factor table, so below its cap this checks the table rather than itself.
+    """
     minus, plus = 6 * m - 1, 6 * m + 1
     minus_prime, plus_prime = is_prime(minus), is_prime(plus)
     if minus_prime and plus_prime:
         return Classification(m, TWIN_RANK)
     sides = []
     if not minus_prime:
-        sides.append((smallest_prime_factor(minus), SIDE_MINUS))
+        sides.append((trial_factor(minus) or rough_least_prime(minus), SIDE_MINUS))
     if not plus_prime:
-        sides.append((smallest_prime_factor(plus), SIDE_PLUS))
+        sides.append((trial_factor(plus) or rough_least_prime(plus), SIDE_PLUS))
     parent = min(spf for spf, _ in sides)
     off = nsix(parent)
     if m % parent == off % parent:

@@ -1,6 +1,10 @@
 import math
 import operator
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +25,13 @@ from twinsieve.counting import counts_row, squarefree_terms
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import sieve_segment
 
-from conftest import simple_sieve
+from conftest import least_prime_factors, simple_sieve
 from reference_lists import slow_smallest_prime_factor
 
 REF_FLAGS = simple_sieve(100_000)
 REF_PRIMES = [p for p, ok in enumerate(REF_FLAGS) if ok]
 PRIMES_PAST_TRIAL = [p for p in REF_PRIMES if p > arith.TRIAL_BOUND]
+SRC = Path(__file__).resolve().parents[1] / "src"
 COLD_CACHE = (1, np.empty(0, dtype=np.int64))  # the prime cache before anything is sieved
 
 
@@ -365,6 +370,77 @@ class TestSmallestPrimeFactor:
             p = smallest_prime_factor(n)
             assert n % p == 0 and REF_FLAGS[p]
             assert all(n % q for q in REF_PRIMES if q < p)
+
+
+def table_reads() -> int:
+    info = arith._least_block.cache_info()
+    return info.hits + info.misses
+
+
+BLOCKS = arith.LEAST_CAP // arith.LEAST_BLOCK
+BLOCK_BYTES = 2 * arith.LEAST_BLOCK * np.dtype(np.uint16).itemsize
+
+
+class TestLeastFactorTable:
+    """smallest_prime_factor reads a cached rank-space table for n = 6r -+ 1 with r < LEAST_CAP."""
+
+    def test_every_n_below_2e6_equals_a_least_factor_sieve(self):
+        want = least_prime_factors(2 * 10**6 - 1)[2:]
+        got = np.fromiter(map(smallest_prime_factor, range(2, 2 * 10**6)), dtype=np.int64, count=want.size)
+        assert not (np.flatnonzero(got != want) + 2).tolist()
+
+    def test_entries_are_zero_exactly_at_primes(self):
+        lpf = least_prime_factors(6 * arith.LEAST_BLOCK + 1)
+        sides = 6 * np.arange(1, arith.LEAST_BLOCK)[:, None] + [-1, 1]  # entry 2r + s from rank 1
+        entries = np.frombuffer(arith._least_block(0), dtype=np.uint16)[2:].reshape(-1, 2)
+        assert (entries == np.where(lpf[sides] == sides, 0, lpf[sides])).all()
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            # Both sides of ranks at block edges, from block 0 to two blocks past the cap.
+            st.builds(
+                lambda k, d, side: 6 * (k * arith.LEAST_BLOCK + d) + side,
+                st.integers(0, BLOCKS + 2), st.integers(-1, 1), st.sampled_from([-1, 1]),
+            ),
+            # Every residue mod 6 on both sides of the cap.
+            st.integers(6 * arith.LEAST_CAP - 300, 6 * arith.LEAST_CAP + 300),
+            # Multiples of 2 or 3 below the cap.
+            st.builds(operator.mul, st.sampled_from([2, 3]), st.integers(1, 2 * arith.LEAST_CAP - 1)),
+        ).filter(lambda n: n >= 2)
+    )
+    def test_edges_and_the_cap_equal_trial_division(self, n):
+        in_table = n % 6 in (1, 5) and (n + 1) // 6 < arith.LEAST_CAP
+        before = table_reads()
+        assert smallest_prime_factor(n) == slow_smallest_prime_factor(n)
+        assert table_reads() - before == in_table
+
+    def test_blocks_stay_bounded(self):
+        arith._small_primes()  # the 2**16 prime cache, which the table shares
+        arith._least_block.cache_clear()
+        size = arith._least_block.cache_info().maxsize
+        tracemalloc.start()
+        try:
+            for k in range(2 * size + 3):  # spread over more blocks than the cache keeps
+                classify(k * arith.LEAST_BLOCK + 7)
+                assert arith._least_block.cache_info().currsize <= size
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arith._least_block.cache_info().misses == 2 * size + 3
+        assert peak < (size + 2) * BLOCK_BYTES  # the cached blocks, the one being built and the base primes
+
+    def test_import_builds_no_block(self):
+        probe = "import twinsieve.cli, twinsieve.arith as a; print(a._least_block.cache_info().misses)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                             env={"PYTHONPATH": str(SRC)}).stdout
+        assert out.strip() == "0"
+
+    def test_no_block_above_the_cap(self):
+        arith._least_block.cache_clear()
+        for m in (arith.LEAST_CAP, arith.LEAST_CAP + 3, 10**12, (2**64 - 2) // 6):
+            classify(m)
+        assert arith._least_block.cache_info().misses == 0
 
 
 class TestSquarefreeTerms:

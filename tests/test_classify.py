@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twinsieve.arith as arith
-from twinsieve.arith import TRIAL_BOUND, is_prime, nsix, primes_between
+from twinsieve.arith import LEAST_CAP, TRIAL_BOUND, is_prime, nsix, primes_between
 from twinsieve.classify import (
     NON_RANK,
     SIDE_MINUS,
@@ -25,7 +25,7 @@ from twinsieve.classify import (
 )
 from twinsieve.errors import CapacityError, DomainError
 
-from conftest import simple_sieve
+from conftest import least_prime_factors, simple_sieve
 from reference_lists import NON_RANKS_TO_19, TWIN_INDICES_TO_108, TWIN_RANKS_TO_18, slow_classify
 
 REF_FLAGS = simple_sieve(200_000)
@@ -142,18 +142,6 @@ class TestClassify:
             assert classify(m).is_twin_rank == want
 
 
-def least_prime_factors(limit: int) -> np.ndarray:
-    """The least prime factor of every n <= limit (n itself for a prime), by a numpy sieve that shares no code with arith."""
-    lpf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(limit) + 1):
-        if lpf[p] == 0:
-            multiples = lpf[p * p :: p]
-            multiples[multiples == 0] = p
-    unset = np.flatnonzero(lpf == 0)
-    lpf[unset] = unset
-    return lpf
-
-
 class TestAgainstALeastFactorSieve:
     def test_every_field_to_2e5(self):
         top = 200_000
@@ -187,8 +175,31 @@ class TestAgainstALeastFactorSieve:
 
         for name in ("is_prime", "smallest_prime_factor"):
             monkeypatch.setattr(classify_module, name, spy(name))
-        assert classify(4).parent == 5  # 23 prime, 25 = 5 * 5
-        assert calls == [("is_prime", 23), ("is_prime", 25), ("smallest_prime_factor", 25)]
+        assert classify(4).parent == 5  # 23 prime, 25 = 5 * 5: below LEAST_CAP, one table lookup per side
+        assert calls == [("smallest_prime_factor", 23), ("smallest_prime_factor", 25)]
+        calls.clear()
+        m = LEAST_CAP + 3  # 6m - 1 = 23 * 1,094,167, 6m + 1 prime: above the cap, primality first
+        assert classify(m).parent == 23
+        assert calls == [("is_prime", 6 * m - 1), ("is_prime", 6 * m + 1), ("smallest_prime_factor", 6 * m - 1)]
+        for m, first in ((LEAST_CAP - 1, "smallest_prime_factor"), (LEAST_CAP, "is_prime")):  # the split itself
+            calls.clear()
+            classify(m)
+            assert calls[0] == (first, 6 * m - 1)
+
+
+# m at the least-factor table's block edges, up to two blocks past the cap, and on both sides of the cap.
+EDGE_M = st.builds(
+    lambda k, d: max(1, k * arith.LEAST_BLOCK + d),
+    st.integers(0, LEAST_CAP // arith.LEAST_BLOCK + 2),
+    st.integers(-2, 2),
+)
+CAP_M = st.integers(LEAST_CAP - 200, LEAST_CAP + 200)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(EDGE_M, CAP_M, st.integers(1, 2 * LEAST_CAP)))
+def test_classify_across_the_cap_and_block_edges(m):
+    assert classify(m) == slow_classify(m)
 
 
 class TestClassificationRecord:
