@@ -73,17 +73,20 @@ SPAN = 1 << 22
 RANK_PERIOD = 5 * 7 * 11 * 13 * 17
 
 
-def _strike(out: np.ndarray, r_lo: int, q: np.ndarray, first) -> np.ndarray:
-    """out, from rank r_lo, set to q on each prime q's non-rank classes +-N(q/6) (mod q) from rank first up (q >= 5).
+def _strike(out: np.ndarray, r_lo: int, q: np.ndarray, first, merged: bool = False) -> np.ndarray:
+    """out, from rank r_lo, set to q on each prime q's non-rank classes +-N(q/6) (mod q) from rank first >= r_lo up (q >= 5).
 
-    A bool out gets True; in any other dtype, primes given in descending order leave each side its least q.
+    Interleaved, entry 2(r - r_lo) + s is the side 6r - 1 (s = 0) or 6r + 1 (s = 1); merged, entry r - r_lo is both.
+    Each prime writes both its classes before the next, so a bool out gets True, and in any other dtype primes
+    given in descending order leave each entry its least q.
     """
     n = (q + 1) // 6  # N(q/6), whether q is 6n - 1 or 6n + 1
     minus = np.where(q % 6 == 5, n, q - n)  # the class where q divides 6r - 1; q - minus, where it divides 6r + 1
-    qs = q.tolist()
-    for side, cls in enumerate((minus, q - minus)):
-        for p, off in zip(qs, (2 * ((cls - first) % q + first - r_lo) + side).tolist()):
-            out[off :: 2 * p] = p
+    width = 1 if merged else 2  # entries per rank
+    at = [width * ((c - first) % q + first - r_lo) + (width - 1) * s for s, c in enumerate((minus, q - minus))]
+    for p, a, b in zip(q.tolist(), at[0].tolist(), at[1].tolist()):
+        out[a :: width * p] = p
+        out[b :: width * p] = p
     return out
 
 
@@ -213,13 +216,17 @@ LEAST_CAP = 1 << 22
 _LEAST_TOP = 6 * LEAST_CAP - 1  # every side 6r -+ 1 with r < LEAST_CAP is below it
 
 
+def _least_factors(r_lo: int, size: int) -> np.ndarray:
+    """The least-factor table over the size ranks from r_lo, as uint16 entries in the prime flags' layout."""
+    base = prime_array(4, math.isqrt(6 * (r_lo + size) - 5))[::-1]  # to the last 6r + 1; descending
+    first = np.maximum((base * base - 1) // 6, r_lo)  # from the rank r of q*q = 6r + 1: q itself stays 0
+    return _strike(np.zeros(2 * size, dtype=np.uint16), r_lo, base, first)
+
+
 @functools.lru_cache(maxsize=8)
 def _least_block(k: int) -> memoryview:
     """Block k of the least-factor table, from rank k*LEAST_BLOCK: a read-only memoryview, whose items are Python ints."""
-    r_lo = k * LEAST_BLOCK
-    base = prime_array(4, math.isqrt(6 * (r_lo + LEAST_BLOCK) - 5))[::-1]  # to the last 6r + 1; descending
-    first = np.maximum((base * base - 1) // 6, r_lo)  # from the rank r of q*q = 6r + 1: q itself stays 0
-    return memoryview(_strike(np.zeros(2 * LEAST_BLOCK, dtype=np.uint16), r_lo, base, first)).toreadonly()
+    return memoryview(_least_factors(k * LEAST_BLOCK, LEAST_BLOCK)).toreadonly()
 
 
 def smallest_prime_factor(n: int) -> int:

@@ -146,11 +146,6 @@ def _batches(items: Iterable):
         yield batch
 
 
-def _elements(items: Iterable):
-    """The items one by one, as _batches makes them: Python values, not numpy scalars."""
-    return chain.from_iterable(_batches(items))
-
-
 def _texts(values: list):
     """JSON texts of a batch of scalars, a C-level map if all are ints or all strings; None if one is a container."""
     kinds = set(map(type, values))
@@ -210,18 +205,18 @@ def _json_pieces(obj, indent: str = ""):
         yield _scalar(obj)
 
 
-def _csv_cells(column: tuple):
+def _csv_cells(column: list):
     """The CSV cells of one column of a batch: a C-level map if all are ints of at most _DIRECT_BITS, or all strings."""
     if (kinds := set(map(type, column))) == {int} and max(map(int.bit_length, column)) <= _DIRECT_BITS:
         return map("%d".__mod__, column)
     return column if kinds == {str} else map(_cell, column)
 
 
-def _csv_pieces(header: list[str], rows: Iterable):
-    """The CSV text of the header and the rows, a batch of lines per piece, each batch formatted column by column."""
+def _csv_pieces(header: list[str], columns: Sequence):
+    """The CSV text of the header and the equal-length columns, a batch of lines per piece; each column is batched on its own."""
     yield ",".join(map(_cell, header)) + "\n"
-    for batch in _batches(rows):
-        yield "\n".join(map(",".join, zip(*map(_csv_cells, zip(*batch))))) + "\n"
+    for batch in zip(*map(_batches, columns)):
+        yield "\n".join(map(",".join, zip(*map(_csv_cells, batch)))) + "\n"
 
 
 def _record(report) -> dict:
@@ -232,7 +227,7 @@ def _record(report) -> dict:
 def _one_row(results: dict, *omit: str):
     """Handler output for a scalar report: one CSV row under the results keys, less omit."""
     header = [k for k in results if k not in omit]
-    return results, header, [[results[k] for k in header]]
+    return results, lambda: (header, [[results[k]] for k in header])
 
 
 def _parse_primes(text: str) -> list[int]:
@@ -291,9 +286,8 @@ def _store_cached_constants(cache_dir: str, level: int, modulus: int, constants)
     _write_atomic(path, chain([f"# level={level} modulus={modulus}\n"], lines))
 
 
-# Each handler returns (results_dict, csv_header, csv_rows), the rows built
-# from the values in results; a list payload's rows are an iterable read only
-# by --emit csv, a generator or the rows of its _Records.
+# Each handler returns (results_dict, table), table a function, called only by
+# --emit csv, that gives the CSV header and columns from the values in results.
 
 def _cmd_classify(args):
     return _one_row(_record(classify(args.m)))
@@ -302,13 +296,13 @@ def _cmd_classify(args):
 def _cmd_twins(args):
     stream = twin_ranks_up_to(args.limit, ceiling=args.ceiling)
     results = {**_record(stream), "count": len(stream.ranks)}
-    return results, ["rank"], ([m] for m in _elements(stream.ranks))
+    return results, lambda: (["rank"], [stream.ranks])
 
 
 def _cmd_nonranks(args):
     terms = _Records(("value", "n", "sign"), nonranks_of(args.prime, args.limit))
     results = {"prime": args.prime, "limit": args.limit, "count": len(terms.rows), "terms": terms}
-    return results, list(terms.keys), _elements(terms.rows)
+    return results, lambda: (list(terms.keys), [terms.rows[k] for k in terms.keys])
 
 
 def _cmd_constants(args):
@@ -321,7 +315,7 @@ def _cmd_constants(args):
         if args.cache_dir:
             _store_cached_constants(args.cache_dir, args.level, modulus, constants)
     results = {"level": args.level, "modulus": modulus, "count": len(constants), "constants": constants}
-    return results, ["constant"], ([c] for c in _elements(constants))
+    return results, lambda: (["constant"], [constants])
 
 
 def _cmd_remnants(args):
@@ -335,15 +329,21 @@ def _cmd_remnants(args):
         "front_twin_ranks": rep.front_twin_ranks,
         "intruders": _Records(("value", "parent"), rep.intruders),
     }
-    return results, ["value", "kind", "parent"], _remnant_rows(rep)
+    return results, lambda: (["value", "kind", "parent"], _remnant_columns(rep))
 
 
-def _remnant_rows(rep):
-    """(value, kind, parent) per remnant; intruders are remnants, so a searchsorted puts each parent in place."""
+_KINDS = np.array(["twin_rank", "intruder", "front_twin_rank"], dtype=object)
+
+
+def _remnant_columns(rep) -> list[np.ndarray]:
+    """The value, kind and parent columns; intruders are remnants, so a searchsorted puts each parent in place."""
     parent = np.zeros(len(rep.remnants), dtype=rep.intruders["parent"].dtype)  # 0: no parent
     parent[np.searchsorted(rep.remnants, rep.intruders["value"])] = rep.intruders["parent"]
-    for v, q in zip(_elements(rep.remnants), _elements(parent)):
-        yield [v, "front_twin_rank" if v < rep.front_bound else ("intruder" if q else "twin_rank"), q or None]
+    kind = (parent != 0).astype(np.int8)
+    kind[: len(rep.front_twin_ranks)] = 2  # the front holds twin ranks only
+    # One int object per parent value, not per row: 1.1 M intruders at bound 10^7 would be 40 MB of ints.
+    cells = np.array([None, *range(1, int(parent.max(initial=0)) + 1)], dtype=object)
+    return [rep.remnants, _KINDS[kind], cells[parent]]
 
 
 def _cmd_family(args):
@@ -354,7 +354,7 @@ def _cmd_family(args):
         texts = nested_form(fam, args.nested)
         members = _Records(("signs", "residue", "nested"), [(*m, t) for m, t in zip(fam.members, texts)])
     results = {"primes": fam.primes, "modulus": fam.modulus, "members": members}
-    return results, list(members.keys), members.rows
+    return results, lambda: (list(members.keys), list(zip(*members.rows)))
 
 
 def _cmd_counts(args):
@@ -486,9 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.workers < 1:
             raise DomainError(f"--workers must be >= 1, got {args.workers}")
-        results, header, rows = args.handler(args)
+        results, table = args.handler(args)
         if args.emit == "csv":
-            pieces = _csv_pieces(header, rows)
+            pieces = _csv_pieces(*table())
         else:
             parameters = {
                 k: v

@@ -15,18 +15,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import SPAN, is_prime, next_prime, odd_prime_blocks, prime_array, primes_between
+from .arith import SPAN, _least_factors, is_prime, next_prime, odd_prime_blocks, prime_array, primes_between
 from .errors import CapacityError, DomainError
 from .oracle import DEFAULT_CEILING, pi2_exact
 from .parallel import parallel_map, pool_size
 
 EULER_GAMMA = 0.5772156649015329
 # Largest sieve level counts_row accepts, checked before any sieving.  On a
-# 2-vCPU host counts --level 999983, the last level below it, takes 3.0-3.7 s
-# at 43 MB, 0.6-0.9 s of it in counts_row (6.2 s with one gcd of R and L, 24.3 s
+# 2-vCPU host counts --level 999983, the last level below it, takes 2.2-3.8 s
+# at 41 MB, 0.6-0.9 s of it in counts_row (6.2 s with one gcd of R and L, 24.3 s
 # with left-to-right products), most of the rest turning the envelope's ten
 # integers of over a million bits into decimal (29.6 s for the whole command when
-# str() did that); near 10^9 the least-prime-factor table alone would be 8 GB.
+# str() did that); near 10^9 the rank-space least-factor table alone would be 0.67 GB.
 LEVEL_GUARD = 10**6
 # Largest levels legendre_pi2 and main_term accept, checked before the level is
 # built.  legendre --level 23 (x = 37,182,005, 6,031,487 squarefree terms)
@@ -111,7 +111,7 @@ def counts_row(p_j: int) -> CountsRow:
     """
     check_level(p_j)
     levels = prime_array(4, p_j)
-    factors, copies = np.unique(_prime_factors(levels - 2, p_j), return_counts=True)
+    factors, copies = np.unique(_prime_factors(levels - 2), return_counts=True)
     shared = factors >= 5  # each factor is a prime below p_j, so a level prime unless it is 3
     copies[shared] -= 1
     unshared = np.ones(levels.size, dtype=bool)  # a mask: np.setdiff1d's first call imports numpy.ma, 15 ms
@@ -138,17 +138,20 @@ def counts_row(p_j: int) -> CountsRow:
 _coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or functools.partial(Fraction, _normalize=False)
 
 
-def _prime_factors(values: np.ndarray, n: int) -> np.ndarray:
-    """Every prime factor of each value in [2, n], with multiplicity, from a least-prime-factor table up to n."""
-    least = np.arange(n + 1, dtype=np.int64)
-    for p in reversed(primes_between(1, math.isqrt(n))):
-        least[p * p :: p] = p  # the smallest prime writes last
-    out = []
-    while values.size:
-        p = least[values]
+def _prime_factors(values: np.ndarray) -> np.ndarray:
+    """Every prime factor of each odd value >= 1, with multiplicity: the 3s, then the rest, each a side 6r -+ 1, by least factors."""
+    out, values = [], values.copy()
+    threes = np.flatnonzero(values % 3 == 0)
+    while threes.size:
+        out.append(np.full(threes.size, 3))
+        values[threes] //= 3
+        threes = threes[values[threes] % 3 == 0]
+    least = _least_factors(0, (int(values.max()) + 1) // 6 + 1)  # through the rank of the largest value
+    while (values := values[values > 1]).size:
+        p = least[values // 3 + 1]  # values // 3 + 1 = 2r + s, the entry of the side 6r -+ 1
+        p = np.where(p == 0, values, p)  # 0: the value itself is prime
         out.append(p)
         values = values // p
-        values = values[values > 1]
     return np.concatenate(out)
 
 

@@ -1,11 +1,13 @@
 """Admissible residue systems modulo primorials and multi-prime non-rank families.
 
-Every non-rank is n*q +- N(q/6) with n >= 1, so one kernel, _least_parent,
-sieves ranks directly and tags each with its least parent prime.  Both views
-of a sieve level p come from it and differ only in the n = 0 offsets N(q/6):
-remnants_below, the value-level view, keeps them (1, 2, 3, 5, ... when they
-are twin ranks), as a true interval sieve does; residue_set, the class-level
-view over one period L(p), drops them, leaving the prod (q-2) classes the
+Every non-rank is n*q +- N(q/6) with n >= 1, so the engine's one strike
+kernel, arith._strike, sieves ranks directly in its merged layout, one entry
+per rank, and with the primes in descending order tags each with its least
+parent prime.  Both views of a sieve level p come from it and differ only in
+the n = 0 offsets N(q/6): remnants_below, the value-level view, strikes from
+n = 1 and so keeps them (1, 2, 3, 5, ... when they are twin ranks), as a true
+interval sieve does; residue_set, the class-level view over one period L(p),
+strikes from rank 0 and so drops them, leaving the prod (q-2) classes the
 counting identities are about.
 """
 
@@ -18,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import is_prime, next_prime, nsix, primes_between
+from .arith import _strike, is_prime, next_prime, nsix, prime_array
 from .classify import classify
 from .counting import check_level, counts_row, m_bound
 from .errors import CapacityError, DomainError
@@ -31,21 +33,6 @@ RESIDUE_GUARD = 23
 # 2.5-3.6 s at 99 MB on a 2-vCPU host, its 98.7 MB envelope written in batches
 # from the report's int64 columns (4.3 s at 298 MB when they were tuples).
 REMNANTS_GUARD = 10**7
-
-
-def _least_parent(lo: int, hi: int, primes: Sequence[int]) -> np.ndarray:
-    """For each rank v in [lo, hi), the least q in primes with v = n*q +- N(q/6), n >= 1; else 0.
-
-    The primes strike in descending order, one strided write per class, so the
-    last write is the least parent.  The dtype is the smallest unsigned type
-    that holds the largest prime.
-    """
-    lp = np.zeros(hi - lo, dtype=np.min_scalar_type(max(primes, default=0)))
-    for q in sorted(primes, reverse=True):
-        off = nsix(q)
-        for first in (q - off, q + off):  # n = 1 of the -N(q/6) and the +N(q/6) class
-            lp[max(first - lo, (first - lo) % q) :: q] = q
-    return lp
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +62,9 @@ def residue_set(p: int) -> ResidueSet:
         raise CapacityError(f"C_{p} holds more than {MATERIALIZE_GUARD} residues above level {RESIDUE_GUARD}; "
                             "use remnants_below for interval queries")
     row = counts_row(p)
-    levels = row.primes
-    keep = _least_parent(0, row.L, levels) == 0
-    keep[[nsix(q) for q in levels]] = False
-    return ResidueSet(p=p, modulus=row.L, constants=np.flatnonzero(keep).astype(np.int64, copy=False))
+    struck = _strike(np.zeros(row.L, dtype=bool), 0, prime_array(4, p), 0, merged=True)  # from rank 0: n = 0 too
+    constants = np.flatnonzero(np.logical_not(struck, out=struck))
+    return ResidueSet(p=p, modulus=row.L, constants=constants.astype(np.int64, copy=False))
 
 
 def inductive_step(current: ResidueSet, p_next: int) -> ResidueSet:
@@ -146,7 +132,9 @@ def remnants_below(p_sieve: int, bound: int) -> RemnantReport:
     if bound > REMNANTS_GUARD:
         raise CapacityError(f"remnants bound {bound} exceeds {REMNANTS_GUARD}")
     front_bound = m_bound(next_prime(p_sieve))  # the level's M, without building its period
-    lp = _least_parent(1, bound, primes_between(4, max(p_sieve, math.isqrt(6 * (bound - 1) + 1))))
+    primes = prime_array(4, max(p_sieve, math.isqrt(6 * (bound - 1) + 1)))[::-1]  # descending: the least writes last
+    lp = np.zeros(bound - 1, dtype=np.min_scalar_type(int(primes[0])))  # lp[v - 1]: the least parent of v, 0 if none
+    _strike(lp, 1, primes, primes - (primes + 1) // 6, merged=True)  # from q - N(q/6), the least n = 1 value
     if bound > 1 and (classify(bound - 1).parent or 0) != lp[-1]:  # spot-check where the prime bound is tightest
         raise RuntimeError(f"least parent of {bound - 1} disagrees with classify")
     intruder = lp > p_sieve

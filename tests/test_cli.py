@@ -516,12 +516,12 @@ class TestColumnWriter:
         keys = records.dtype.names
         values = [row[0] for row in rows]
         column = records[keys[0]]
-        assert [type(v) for v in cli._elements(column)] == [int] * len(values)
+        assert [type(v) for batch in cli._batches(column) for v in batch] == [int] * len(values)
         assert "".join(cli._json_pieces({"c": column})) == reference_dumps({"c": values})
         written = "".join(cli._json_pieces({"r": cli._Records(keys, records)}))
         assert written == reference_dumps({"r": [dict(zip(keys, row)) for row in rows]})
-        assert "".join(cli._csv_pieces(["v"], ([v] for v in cli._elements(column)))) == reference_csv(["v"], [[v] for v in values])
-        assert "".join(cli._csv_pieces(list(keys), cli._elements(records))) == reference_csv(keys, rows)
+        assert "".join(cli._csv_pieces(["v"], [column])) == reference_csv(["v"], [[v] for v in values])
+        assert "".join(cli._csv_pieces(list(keys), [records[k] for k in keys])) == reference_csv(keys, rows)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(INT64, st.integers(0, 2**16 - 1), st.sampled_from("+-")), max_size=12), st.integers(1, 4))
@@ -571,7 +571,7 @@ def test_csv_columns_equal_the_cell_by_cell_reference(rows, batch):
     header = [f"c{i}" for i in range(len(rows[0]) if rows else 2)]
     reference = "".join(",".join(map(cli._cell, row)) + "\n" for row in [header, *rows])
     with written_in_batches_of(batch):
-        assert "".join(cli._csv_pieces(header, iter(rows))) == reference
+        assert "".join(cli._csv_pieces(header, list(zip(*rows)))) == reference
 
 
 def dict_remnant_rows(rep) -> list[list]:
@@ -586,7 +586,8 @@ def dict_remnant_rows(rep) -> list[list]:
 def test_remnant_rows_equal_the_dict_rows(level, bound, batch):
     rep = remnants_below(level, bound)
     with mock.patch.object(cli, "_BATCH", batch):
-        assert list(cli._remnant_rows(rep)) == dict_remnant_rows(rep)
+        batches = zip(*map(cli._batches, cli._remnant_columns(rep)))
+        assert [list(row) for columns in batches for row in zip(*columns)] == dict_remnant_rows(rep)
 
 
 class TestNonRanksBeyondInt64:

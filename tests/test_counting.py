@@ -31,6 +31,7 @@ from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import pi2_exact, sieve_segment
 from twinsieve.progressions import residue_set
 
+from conftest import least_prime_factors
 from reference_lists import (
     slow_c2_partial,
     slow_counts_fields,
@@ -181,6 +182,45 @@ class TestCountsRow:
             counts_row(4)
         with pytest.raises(DomainError):
             counts_row(3)
+
+
+def reference_factors(values: np.ndarray, lpf: np.ndarray) -> list[int]:
+    """Every prime factor of each value, with multiplicity, sorted: repeated division by conftest's least prime factors."""
+    out = []
+    while (values := values[values > 1]).size:
+        out += lpf[values].tolist()
+        values = values // lpf[values]
+    return sorted(out)
+
+
+LPF_TO_A_MILLION = least_prime_factors(10**6)
+
+
+class TestLevelFactors:
+    """counts_row's factor step: the prime factors of each q - 2, 3s first, then from the rank-space least-factor table."""
+
+    def test_every_level_to_a_million(self):
+        values = arith.prime_array(4, 10**6) - 2  # the level 999983's, whose prefixes are every lower level's
+        assert np.sort(counting._prime_factors(values)).tolist() == reference_factors(values, LPF_TO_A_MILLION)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(primes_between(4, 10**6)), min_size=1, max_size=5))
+    @example([q for q in (3**k + 2 for k in range(1, 13)) if arith.is_prime(q)])  # 3s to the twelfth power
+    @example([13])  # 11 = 6*2 - 1: the table must reach the rank of its largest value's 6r - 1 side
+    def test_any_level_primes(self, levels):
+        values = np.array(levels, dtype=np.int64) - 2
+        assert np.sort(counting._prime_factors(values)).tolist() == reference_factors(values, LPF_TO_A_MILLION)
+
+    def test_peak_at_the_last_level(self):
+        # The number-line table it replaces was 8 MB of int64 at this level, an 11.2 MB peak; 4.4 MB measured.
+        values = arith.prime_array(4, 999983) - 2
+        tracemalloc.start()
+        try:
+            counting._prime_factors(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 10**6
 
 
 class TestSupergroupSize:

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinsieve.arith import next_prime, nsix, primes_between
+from twinsieve import arith
+from twinsieve.arith import _strike, next_prime, nsix, primes_between
 from twinsieve.classify import classify
 from twinsieve.counting import counts_row, m_bound
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import _twin_truth
 from twinsieve.progressions import (
     REMNANTS_GUARD,
-    _least_parent,
     boundary_twin_ranks,
     crt_family,
     gap_pattern,
@@ -85,24 +85,42 @@ def slow_family_members(primes) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(members, key=lambda member: member[1]))
 
 
+def least_parent(lo: int, hi: int, primes) -> np.ndarray:
+    """The merged strike as remnants_below runs it, over ranks [lo, hi): each rank's least parent in primes, else 0."""
+    q = np.array(sorted(primes, reverse=True), dtype=np.int64)
+    return _strike(np.zeros(hi - lo, dtype=np.uint16), lo, q, np.maximum(q - (q + 1) // 6, lo), merged=True)
+
+
+# Rank edges of the engine's blocks below 10**6: the least-factor table's, the rank wheel's period and a prime block's.
+EDGES = [arith.LEAST_BLOCK, 3 * arith.LEAST_BLOCK, arith.RANK_PERIOD, 2 * arith.RANK_PERIOD, (arith.SPAN + 1) // 6]
+
+
 class TestLeastParent:
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(min_value=1, max_value=10**6 - 1), st.integers(min_value=1, max_value=1000))
-    def test_window_matches_oracle_and_classify(self, lo, width):
-        hi = min(lo + width, 10**6)
-        lp = _least_parent(lo, hi, primes_between(4, math.isqrt(6 * hi + 1)))
-        assert np.array_equal(lp == 0, _twin_truth(lo, hi - 1))
+    def check_window(self, lo: int, hi: int):
+        lp = least_parent(lo, hi, primes_between(4, math.isqrt(6 * hi + 1)))
+        start = max(lo, 1)  # rank 0 is no rank of a pair, and nothing strikes it
+        assert lp[: start - lo].tolist() == [0] * (start - lo)
+        assert np.array_equal(lp[start - lo :] == 0, _twin_truth(start, hi - 1))
         for v in np.flatnonzero(lp).tolist():
             assert lp[v] == classify(lo + v).parent, lo + v
 
-    def test_dtype_holds_the_largest_prime(self):
-        assert _least_parent(1, 10, [5, 7, 251]).dtype == np.uint8
-        assert _least_parent(1, 10, [5, 7, 257]).dtype == np.uint16
-        assert _least_parent(1, 10, []).tolist() == [0] * 9
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**6 - 1), st.integers(min_value=1, max_value=1000))
+    def test_window_matches_oracle_and_classify(self, lo, width):
+        self.check_window(lo, min(lo + width, 10**6))
+
+    @pytest.mark.parametrize("lo, hi", [(0, 2), (0, 3000)] + [
+        window for edge in EDGES for window in ((edge - 500, edge), (edge, edge + 500), (edge - 1, edge + 1))
+    ])
+    def test_windows_from_rank_zero_and_at_block_edges(self, lo, hi):
+        self.check_window(lo, hi)
+
+    def test_no_primes_strike_nothing(self):
+        assert least_parent(1, 10, []).tolist() == [0] * 9
 
     def test_least_parent_wins_where_primes_meet(self):
         # 34 = 5*7 - 1 = 7*5 - 1 is struck by both and tagged 5; 15 = 7*2 + 1 only by 7.
-        lp = _least_parent(10, 40, [5, 7])
+        lp = least_parent(10, 40, [5, 7])
         assert (lp[34 - 10], lp[15 - 10], lp[12 - 10]) == (5, 7, 0)
 
 
@@ -285,6 +303,11 @@ class TestRemnants:
         assert all(c.dtype == np.int64 for c in columns) and rep.intruders.dtype.names == ("value", "parent")
         got = (rep.front_bound, *(tuple(c.tolist()) for c in (rep.remnants, rep.front_twin_ranks, rep.intruders)))
         assert got == slow_remnants(level, bound)
+
+    def test_parent_dtype_holds_the_largest_prime(self):
+        # the primes run to max(level, sqrt(6*bound - 5)): here the level
+        assert remnants_below(251, 10).intruders["parent"].dtype == np.uint8
+        assert remnants_below(257, 10).intruders["parent"].dtype == np.uint16
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError, match=str(REMNANTS_GUARD)):
