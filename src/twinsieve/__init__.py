@@ -7,6 +7,7 @@ from .arith import (
     nsix,
     primes_between,
     smallest_prime_factor,
+    twin_ranks,
 )
 from .classify import (
     Classification,

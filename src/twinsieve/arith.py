@@ -96,34 +96,47 @@ def _rank_wheel() -> np.ndarray:
     return _strike(np.zeros(4 * RANK_PERIOD, dtype=bool), 0, np.array([5, 7, 11, 13, 17]), 0)
 
 
+def _composite_flags(r_lo: int, size: int, base: np.ndarray) -> np.ndarray:
+    """Interleaved flags over the size ranks from r_lo, set where the side 6r -+ 1 is composite; rank 0's -1 and 1 stay clear.
+
+    The flags double one period of the rank wheel, so 5..17 and their
+    multiples come set, and 5..17 themselves are cleared in the window from
+    rank 0.  base holds ascending primes from 19 up to at least the root of
+    the window's last side; those up to it strike from their first class
+    member at least q*q.
+    """
+    flags, filled = np.empty(2 * size, dtype=bool), min(2 * size, 2 * RANK_PERIOD)
+    flags[:filled] = _rank_wheel()[2 * (r_lo % RANK_PERIOD) :][:filled]
+    while filled < flags.size:
+        flags[filled : 2 * filled] = flags[: flags.size - filled][:filled]
+        filled *= 2
+    if r_lo == 0:
+        flags[2:7] = False  # 5..17 themselves
+    q = base[: np.searchsorted(base, math.isqrt(6 * (r_lo + size) - 5), side="right")]
+    return _strike(flags, r_lo, q, np.maximum((q * q - 1) // 6, r_lo))  # q*q = 6r + 1 at r = (q*q - 1)/6
+
+
+def _sieving_primes(root: int) -> np.ndarray:
+    """The primes 19..root ascending, from the engine's own stream, uncached."""
+    base = np.concatenate(list(odd_prime_blocks(root))) if root >= 19 else np.empty(0, dtype=np.int64)
+    return base[base >= 19]
+
+
 def odd_prime_blocks(cutoff: int, start: int = 3):
     """Yield int64 arrays of the primes in [lo, hi), for lo = start + k*SPAN and hi <= cutoff + 1.
 
     start must be a block edge 3 + k*SPAN, so a stream started there yields
-    exactly the tail of the stream from 3.  A block's flags, over the ranks
-    (lo+1)//6 .. (hi+1)//6, double one period of the rank wheel; the base
-    primes 19..isqrt(hi - 1), from the stream itself, strike from their first
-    class member at least q*q.  Block 0 keeps 5..17 and puts 3 in front.
+    exactly the tail of the stream from 3.  A block is the composite flags
+    over the ranks (lo+1)//6 .. (hi+1)//6, the base primes from the stream
+    itself, its clear flags turned into primes.  Block 0 puts 3 in front.
     """
     if start < 3 or (start - 3) % SPAN:
         raise DomainError(f"odd_prime_blocks starts at a block edge 3 + k*{SPAN}, got {start}")
-    root = math.isqrt(cutoff)
-    base = np.concatenate(list(odd_prime_blocks(root))) if root >= 19 else np.empty(0, dtype=np.int64)
-    base = base[base >= 19]
-    square, wheel = (base * base - 1) // 6, _rank_wheel()  # q*q = 6*square + 1
+    base = _sieving_primes(math.isqrt(cutoff))
 
     def block(lo: int, hi: int) -> np.ndarray:
         r_lo = (lo + 1) // 6
-        size = 2 * ((hi + 1) // 6 - r_lo + 1)
-        flags, filled = np.empty(size, dtype=bool), min(size, 2 * RANK_PERIOD)
-        flags[:filled] = wheel[2 * (r_lo % RANK_PERIOD) :][:filled]
-        while filled < size:
-            flags[filled : 2 * filled] = flags[: size - filled][:filled]
-            filled *= 2
-        if lo == 3:
-            flags[2:7] = False  # 5..17 themselves
-        k = int(np.searchsorted(base, math.isqrt(hi - 1), side="right"))
-        _strike(flags, r_lo, base[:k], np.maximum(square[:k], r_lo))
+        flags = _composite_flags(r_lo, (hi + 1) // 6 - r_lo + 1, base)
         vals = np.flatnonzero(np.logical_not(flags, out=flags))  # the in-place steps that follow allocate nothing
         vals *= 3
         vals &= -2  # 3f less its low bit: 6i for flag 2i, 6i + 2 for flag 2i + 1
@@ -134,6 +147,30 @@ def odd_prime_blocks(cutoff: int, start: int = 3):
 
     for lo in range(start, cutoff + 1, SPAN):
         yield block(lo, min(lo + SPAN, cutoff + 1))  # nothing of a block but its primes outlives the yield
+
+
+TWIN_BLOCK = SPAN // 6  # ranks per window of twin_ranks, about SPAN numbers
+
+
+def twin_ranks(limit: int) -> np.ndarray:
+    """All twin ranks 1 <= m <= limit, ascending, as one int64 array grown in place.
+
+    Each window of TWIN_BLOCK ranks, from rank 0, is one _composite_flags
+    strike; a rank is a twin rank where both its flags are clear, that is
+    where the pair of flags read as one uint16 is 0.
+    """
+    if limit < 0:
+        raise DomainError(f"twin_ranks needs limit >= 0, got {limit}")
+    base = _sieving_primes(math.isqrt(6 * limit + 1))
+    ranks = np.empty(0, dtype=np.int64)
+    for r_lo in range(0, limit + 1, TWIN_BLOCK):
+        flags = _composite_flags(r_lo, min(TWIN_BLOCK, limit + 1 - r_lo), base)
+        if r_lo == 0:
+            flags[:2] = True  # rank 0: -1 and 1 are no twin pair
+        hits, count = np.flatnonzero(flags.view(np.uint16) == 0), ranks.size
+        ranks.resize(count + hits.size, refcheck=False)  # realloc: grows by remapping, not by a second copy
+        np.add(hits, r_lo, out=ranks[count:])
+    return ranks
 
 
 _sieved: tuple[int, np.ndarray] = (1, np.empty(0, dtype=np.int64))

@@ -29,6 +29,9 @@ MATERIALIZE_GUARD = 10**8
 # Largest level residue_set materializes: C_23 holds 7,952,175 residues and
 # C_29 214,708,725, above MATERIALIZE_GUARD.
 RESIDUE_GUARD = 23
+# Ranks per strike in residue_set: the constants are preallocated, so its peak
+# is them and one chunk (a bool chunk and its survivors' int64 offsets).
+RESIDUE_CHUNK = 1 << 20
 # Largest bound remnants_below accepts: remnants --level 61 --bound 10^7 takes
 # 2.5-3.6 s at 99 MB on a 2-vCPU host, its 98.7 MB envelope written in batches
 # from the report's int64 columns (4.3 s at 298 MB when they were tuples).
@@ -56,15 +59,27 @@ class ResidueSet:
 
 
 def residue_set(p: int) -> ResidueSet:
-    """The admissible residue classes at level p: one period's survivors, less the n = 0 offsets."""
+    """The admissible residue classes at level p: one period's survivors, less the n = 0 offsets.
+
+    The period is struck RESIDUE_CHUNK ranks at a time, each chunk's survivors
+    written into the preallocated counts_row(p).R constants; a strike that
+    leaves another count raises RuntimeError.
+    """
     check_level(p)
     if p > RESIDUE_GUARD:
         raise CapacityError(f"C_{p} holds more than {MATERIALIZE_GUARD} residues above level {RESIDUE_GUARD}; "
                             "use remnants_below for interval queries")
-    row = counts_row(p)
-    struck = _strike(np.zeros(row.L, dtype=bool), 0, prime_array(4, p), 0, merged=True)  # from rank 0: n = 0 too
-    constants = np.flatnonzero(np.logical_not(struck, out=struck))
-    return ResidueSet(p=p, modulus=row.L, constants=constants.astype(np.int64, copy=False))
+    row, primes = counts_row(p), prime_array(4, p)
+    constants, count = np.empty(row.R, dtype=np.int64), 0
+    for r_lo in range(0, row.L, RESIDUE_CHUNK):  # from rank 0: the first chunk strikes n = 0 too
+        struck = _strike(np.zeros(min(RESIDUE_CHUNK, row.L - r_lo), dtype=bool), r_lo, primes, r_lo, merged=True)
+        hits = np.flatnonzero(np.logical_not(struck, out=struck))
+        if count + hits.size <= row.R:
+            np.add(hits, r_lo, out=constants[count : count + hits.size])
+        count += hits.size
+    if count != row.R:
+        raise RuntimeError(f"the level-{p} strike leaves {count} residues, not R = {row.R}")
+    return ResidueSet(p=p, modulus=row.L, constants=constants)
 
 
 def inductive_step(current: ResidueSet, p_next: int) -> ResidueSet:

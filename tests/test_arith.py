@@ -23,7 +23,7 @@ from twinsieve.arith import (
 from twinsieve.classify import classify
 from twinsieve.counting import counts_row, squarefree_terms
 from twinsieve.errors import CapacityError, DomainError
-from twinsieve.oracle import sieve_segment
+from twinsieve.oracle import sieve_segment, twin_ranks_up_to
 
 from conftest import least_prime_factors, simple_sieve
 from reference_lists import slow_smallest_prime_factor
@@ -379,6 +379,53 @@ def table_reads() -> int:
 
 BLOCKS = arith.LEAST_CAP // arith.LEAST_BLOCK
 BLOCK_BYTES = 2 * arith.LEAST_BLOCK * np.dtype(np.uint16).itemsize
+
+
+class TestTwinRanks:
+    """The engine's twin ranks against the oracle's."""
+
+    EDGES = [k * arith.TWIN_BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    TOP = 3 * arith.TWIN_BLOCK + 1
+
+    @pytest.fixture(scope="class")
+    def oracle_ranks(self):
+        return twin_ranks_up_to(self.TOP).ranks
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 18, 747])
+    def test_small_limits(self, limit):
+        ranks = arith.twin_ranks(limit)
+        assert ranks.dtype == np.int64 and ranks.tolist() == twin_ranks_up_to(limit).ranks.tolist()
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, TOP) | st.sampled_from(EDGES))
+    def test_drawn_limits(self, oracle_ranks, limit):
+        self.check(oracle_ranks, limit)
+
+    @pytest.mark.parametrize("limit", EDGES)
+    def test_limits_within_one_of_a_window_edge(self, oracle_ranks, limit):
+        self.check(oracle_ranks, limit)
+
+    @staticmethod
+    def check(oracle_ranks, limit):
+        want = oracle_ranks[: np.searchsorted(oracle_ranks, limit, side="right")]
+        assert np.array_equal(arith.twin_ranks(limit), want)
+
+    def test_negative_limit(self):
+        with pytest.raises(DomainError, match="twin_ranks needs limit >= 0, got -1"):
+            arith.twin_ranks(-1)
+
+    def test_twenty_million_held_once(self):
+        # 517,359 ranks (4.1 MB) from 29 windows, each of which leaves 1.4 MB
+        # of flags and its hits while the array grows in place.
+        tracemalloc.start()
+        try:
+            ranks = arith.twin_ranks(20_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ranks.size == 517_359 and ranks.flags.owndata
+        assert peak < ranks.nbytes + (3 << 20), (peak, ranks.nbytes)
+        assert np.array_equal(ranks, twin_ranks_up_to(20_000_000).ranks)
 
 
 class TestLeastFactorTable:

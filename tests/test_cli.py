@@ -19,6 +19,7 @@ from twinsieve import __version__
 from twinsieve import cli
 from twinsieve.arith import primes_between
 from twinsieve.cli import main
+from twinsieve.oracle import twin_ranks_up_to
 from twinsieve.progressions import remnants_below
 
 from reference_lists import C5, C7, REMNANTS_61_BELOW_748
@@ -548,6 +549,71 @@ class TestColumnWriter:
         records["value"] = np.array([r[0] for r in rows], dtype=object)
         records["n"], records["sign"] = [r[1] for r in rows], [r[2] for r in rows]
         self.check(records, rows)
+
+
+INT64_EDGES = [0, 9, 10, 99, 100, 10**18 - 1, 10**18, 2**63 - 1, -(2**63 - 1), -(2**63), -1, -10, -100]
+
+
+class TestInt64Text:
+    """A 1-D int64 array's JSON text is made in numpy, with the bytes of the '"%d"' map over its list."""
+
+    @staticmethod
+    def reference(values, sep, quote='"'):
+        return sep.join(f"{quote}{v}{quote}" for v in values)
+
+    @pytest.mark.parametrize("sep", [",\n", ",\n      ", "\n"])
+    def test_decimal_edges(self, sep):
+        for values in (INT64_EDGES, INT64_EDGES[:7], INT64_EDGES[7:], [0], [-(2**63)], [99, 100], [-5, 5]):
+            array = np.array(values, dtype=np.int64)
+            assert cli._int64_text(array, sep) == self.reference(values, sep)
+            assert cli._int64_text(array, sep, quote="") == self.reference(values, sep, quote="")
+
+    def test_empty(self):
+        assert cli._int64_text(np.empty(0, dtype=np.int64), ",\n  ") == ""
+        assert "".join(cli._json_pieces({"a": np.empty(0, dtype=np.int64)})) == '{\n  "a": []\n}'
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(INT64, max_size=40), st.text(",\n ", max_size=8), st.sampled_from(['"', ""]))
+    def test_drawn_values(self, values, sep, quote):
+        assert cli._int64_text(np.array(values, dtype=np.int64), sep, quote) == self.reference(values, sep, quote)
+
+    @pytest.mark.parametrize("size", [cli._BATCH - 1, cli._BATCH, cli._BATCH + 1, 2 * cli._BATCH + 1])
+    def test_lists_around_a_batch(self, size):
+        rng = np.random.default_rng(size)
+        for values in (np.arange(size, dtype=np.int64) * 7919 - 10**6,  # ascending, across digit counts and zero
+                       rng.integers(-(2**63), 2**63, size, dtype=np.int64)):
+            payload = {"c": values}
+            assert "".join(cli._json_pieces(payload)) == reference_dumps({"c": values.tolist()})
+
+    def test_nested_indents(self):
+        ranks = np.array(INT64_EDGES, dtype=np.int64)
+        payload = {"a": ranks, "b": {"c": ranks[::-1], "d": {"e": ranks[:3], "f": ranks[:0]}}, "z": ranks[5:6]}
+        expect = {"a": ranks.tolist(), "b": {"c": ranks[::-1].tolist(), "d": {"e": ranks[:3].tolist(), "f": []}},
+                  "z": ranks[5:6].tolist()}
+        with written_in_batches_of(4):
+            assert "".join(cli._json_pieces(payload)) == reference_dumps(expect)
+
+    @pytest.mark.parametrize("limit", [0, 18, 747, 100_000])
+    def test_twins_envelope_and_csv_are_the_oracle_list(self, capsys, limit):
+        ranks = twin_ranks_up_to(limit).ranks.tolist()
+        code, out, _ = run_cli(capsys, "twins", "--limit", str(limit))
+        assert code == 0
+        assert out == reference_dumps({
+            "command": "twins", "engine_version": __version__,
+            "parameters": {"ceiling": 10**9, "limit": limit, "workers": 1},
+            "results": {"count": len(ranks), "limit": limit, "ranks": ranks},
+        }) + "\n"
+        code, out, _ = run_cli(capsys, "twins", "--limit", str(limit), "--emit", "csv")
+        assert code == 0
+        assert out == reference_csv(["rank"], [[m] for m in ranks])
+
+    def test_twins_refusals_are_the_oracle_lines(self, capsys):
+        for argv, line in [
+            (("--ceiling", "100", "twins", "--limit", "1000"), "6*1000+1 exceeds the sieve ceiling 100"),
+            (("twins", "--limit", "10000000000", "--ceiling", "100000000000"),
+             "6*10000000000+1 exceeds the oracle's sieve guard 10000000000"),
+        ]:
+            assert run_cli(capsys, *argv) == (1, "", f"twinsieve twins: {line}\n")
 
 
 # Columns of one kind each, so that some batches are all ints or all strings and take the column path.

@@ -1,13 +1,15 @@
 import bisect
+import dataclasses
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinsieve import arith
+from twinsieve import arith, progressions
 from twinsieve.arith import _strike, next_prime, nsix, primes_between
 from twinsieve.classify import classify
 from twinsieve.counting import counts_row, m_bound
@@ -154,6 +156,32 @@ class TestResidueSet:
         for p in (5, 7, 11, 13):
             rs = residue_set(p)
             assert rs.constants.tolist() == brute_force_classes(primes_between(4, p), rs.modulus)
+
+    def test_level_23_holds_the_constants_and_one_chunk(self):
+        counts_row(23)  # the level record is cached; only the strike is measured
+        tracemalloc.start()
+        try:
+            rs = residue_set(23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rs) == counts_row(23).R == 7_952_175 and rs.constants.dtype == np.int64
+        assert np.all(rs.constants[1:] > rs.constants[:-1]) and rs.constants[-1] < rs.modulus
+        # A chunk is 1 MB of flags and at most 8 MB of survivor offsets; the whole period was 37 MB.
+        assert peak < rs.constants.nbytes + (10 << 20), (peak, rs.constants.nbytes)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 20])
+    def test_chunk_edges_change_nothing(self, monkeypatch, chunk):
+        want = residue_set(13).constants.tolist()
+        monkeypatch.setattr(progressions, "RESIDUE_CHUNK", chunk)
+        assert residue_set(13).constants.tolist() == want
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_a_count_other_than_r_raises(self, monkeypatch, delta):
+        row = counts_row(11)
+        monkeypatch.setattr(progressions, "counts_row", lambda p: dataclasses.replace(row, R=row.R + delta))
+        with pytest.raises(RuntimeError, match=f"leaves 135 residues, not R = {135 + delta}"):
+            residue_set(11)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError, match="remnants_below"):
