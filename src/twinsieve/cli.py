@@ -144,9 +144,10 @@ def _slices(array: np.ndarray):
 
 
 def _batches(items: Iterable):
-    """Lists of up to _BATCH items; a numpy array is sliced, and only a slice at a time becomes Python values."""
+    """Batches of up to _BATCH items: a 1-D int64 array's slices as they are, for _int64_text; any other numpy array's slices as Python values, a slice at a time; lists otherwise."""
     if isinstance(items, np.ndarray):
-        yield from (piece.tolist() for piece in _slices(items))
+        int64 = items.ndim == 1 and items.dtype == np.int64
+        yield from _slices(items) if int64 else (piece.tolist() for piece in _slices(items))
         return
     it = iter(items)
     while batch := list(islice(it, _BATCH)):
@@ -230,14 +231,10 @@ def _json_pieces(obj, indent: str = ""):
         yield "\n" + indent + "}"
     elif isinstance(obj, (list, tuple, np.ndarray, _Records)):
         lead, sep = "[\n" + inner, ",\n" + inner
-        if isinstance(obj, _Records):
-            batches, texts_of = _batches(obj.rows), _record_texts(obj.keys, inner)
-        elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.int64:
-            batches, texts_of = _slices(obj), lambda piece: [_int64_text(piece, sep)]
-        else:
-            batches, texts_of = _batches(obj), _texts
-        for batch in batches:
-            texts = texts_of(batch)
+        records = isinstance(obj, _Records)
+        texts_of = _record_texts(obj.keys, inner) if records else _texts
+        for batch in _batches(obj.rows if records else obj):
+            texts = [_int64_text(batch, sep)] if isinstance(batch, np.ndarray) else texts_of(batch)
             if texts is None:
                 for item in batch:
                     yield lead
@@ -251,8 +248,10 @@ def _json_pieces(obj, indent: str = ""):
         yield _scalar(obj)
 
 
-def _csv_cells(column: list):
-    """The CSV cells of one column of a batch: a C-level map if all are ints of at most _DIRECT_BITS, or all strings."""
+def _csv_cells(column):
+    """The CSV cells of one column of a batch: a slice of a 1-D int64 array is one _int64_text, split; a C-level map if all are ints of at most _DIRECT_BITS, or all strings."""
+    if isinstance(column, np.ndarray):
+        return _int64_text(column, "\n", quote="").split("\n")
     if (kinds := set(map(type, column))) == {int} and max(map(int.bit_length, column)) <= _DIRECT_BITS:
         return map("%d".__mod__, column)
     return column if kinds == {str} else map(_cell, column)

@@ -22,19 +22,17 @@ from .parallel import parallel_map, pool_size
 
 EULER_GAMMA = 0.5772156649015329
 # Largest sieve level counts_row accepts, checked before any sieving.  On a
-# 2-vCPU host counts --level 999983, the last level below it, takes 2.2-3.8 s
-# at 41 MB, 0.6-0.9 s of it in counts_row (6.2 s with one gcd of R and L, 24.3 s
-# with left-to-right products), most of the rest turning the envelope's ten
-# integers of over a million bits into decimal (29.6 s for the whole command when
-# str() did that); near 10^9 the rank-space least-factor table alone would be 0.67 GB.
+# 2-vCPU host counts --level 999983, the last level below it, takes 2.0 s at 41 MB,
+# 0.4 s of it in counts_row (6.2 s with one gcd of R and L), most of the rest
+# turning the envelope's ten integers of over a million bits into decimal; near
+# 10^9 the rank-space least-factor table alone would be 0.67 GB.
 LEVEL_GUARD = 10**6
-# Largest levels legendre_pi2 and main_term accept, checked before the level is
-# built.  legendre --level 23 (x = 37,182,005, 6,031,487 squarefree terms)
-# peaks at 295 MB in 2.4-3.6 s, 0.8 s of it in the oracle counts, which sieve
-# the period once (784 MB in 17 s when the terms were Python tuples and each
-# count sieved from rank 1); level 29's x, 1,078,282,045, is 29 times larger.  main_term also sums one exact Fraction per squarefree term:
-# mainterm --level 19 (x = 1,616,527) takes 50 s at 87 MB, 33 s of it in
-# main_term (c2 aside), 13 s in the CLI's exact form_gap and 3 s in the decimal
+# Largest levels legendre_pi2 and main_term accept, checked before the level is built.
+# legendre --level 23 (x = 37,182,005, 6,031,487 squarefree terms) peaks at 295 MB in
+# 2.4-3.6 s, 0.8 s of it in the oracle counts, which sieve the period once; level 29's
+# x, 1,078,282,045, is 29 times larger.  main_term also sums one exact Fraction per
+# squarefree term: mainterm --level 19 (x = 1,616,527) takes 24 s at 86 MB, 12 s of it
+# in main_term (c2 aside), 9.5 s in the CLI's exact form_gap and 2.3 s in the decimal
 # strings; level 23 would carry denominators of tens of millions of bits.
 LEGENDRE_GUARD = 23
 MAINTERM_GUARD = 19
@@ -100,25 +98,11 @@ def check_level(p_j: int, name: str = "", least: int = 5, most: int = LEVEL_GUAR
 def counts_row(p_j: int) -> CountsRow:
     """The record of one sieve level; DomainError unless p_j is a prime >= 5, CapacityError above LEVEL_GUARD.
 
-    L = prod q and R = prod (q - 2) over the level's primes share the factor
-    g = gcd(R, L), and L is squarefree, so g is the product of the level
-    primes that divide some q - 2; the least-prime-factor table names them.
-    The reduced x_frac = R/L is then a product tree over R's prime factors
-    with one copy of each shared prime taken out, over a product tree of L's
-    other primes, and L and R are those trees times g: no big gcd or
-    division.  q = x_frac * 2/(p_j - 2) and Q = 1 - x_frac take their gcds
-    against small operands only.
+    L, R and x_frac = R/L in lowest terms come from _reduced_ratio over the level's primes;
+    q = x_frac * 2/(p_j - 2) and Q = 1 - x_frac take their gcds against small operands only.
     """
     check_level(p_j)
-    levels = prime_array(4, p_j)
-    factors, copies = np.unique(_prime_factors(levels - 2), return_counts=True)
-    shared = factors >= 5  # each factor is a prime below p_j, so a level prime unless it is 3
-    copies[shared] -= 1
-    unshared = np.ones(levels.size, dtype=bool)  # a mask: np.setdiff1d's first call imports numpy.ma, 15 ms
-    unshared[np.searchsorted(levels, factors[shared])] = False
-    g = _tree_sum(factors[shared].tolist() or [1], operator.mul)
-    num = _tree_sum(np.repeat(factors, copies).tolist(), operator.mul)  # never empty: the 3 of 5 - 2 stays
-    den = _tree_sum(levels[unshared].tolist(), operator.mul)  # never empty: p_j stays
+    num, den, g = _reduced_ratio(prime_array(4, p_j))
     L, R = den * g, num * g
     x_frac = _coprime_fraction(num, den)
     return CountsRow(
@@ -131,6 +115,25 @@ def counts_row(p_j: int) -> CountsRow:
         R=R,
         x_frac=x_frac,
     )
+
+
+def _reduced_ratio(primes: np.ndarray) -> tuple[int, int, int]:
+    """(num, den, g) with prod (q - 2) = num * g, prod q = den * g and num/den in lowest terms, over one or more ascending primes >= 5.
+
+    The primes are distinct, so g = gcd(prod (q - 2), prod q) is the product
+    of the given primes that divide some q - 2; the least-prime-factor table
+    names them.  num is a product tree over the factors of every q - 2 with
+    one copy of each shared prime taken out, den a product tree over the
+    primes that are not shared: no big gcd or division.
+    """
+    factors, copies = np.unique(_prime_factors(primes - 2), return_counts=True)
+    at = np.searchsorted(primes, factors)  # inside the array: every factor is below the largest prime
+    shared = primes[at] == factors
+    copies[shared] -= 1
+    g = _tree_sum(factors[shared].tolist() or [1], operator.mul)
+    num = _tree_sum(np.repeat(factors, copies).tolist(), operator.mul)  # never empty: the least q - 2 shares nothing
+    den = _tree_sum(np.delete(primes, at[shared]).tolist(), operator.mul)  # never empty: the largest prime divides no q - 2
+    return num, den, g
 
 
 # Fraction(n, d) divides out gcd(n, d), quadratic in the digits; for n and d
@@ -307,14 +310,9 @@ def main_term(p_j: int) -> MainTermReport:
     rm_sum = _tree_sum([Fraction(R0)] + [Fraction((-2) ** nu * x, n) for n, nu in pairs], operator.add)
     estimate = R0 + _ie_floor_sum(terms, x)
 
-    # L * prod_{5<=q<=x} (q-2)/q = R0 * tail, tail the product over p_j < q <= x,
-    # multiplied out as two product trees and kept as an unreduced integer pair
-    # until one Fraction normalization.  R0 * tail + M * (1 - tail) is taken as
-    # M + (R0 - M) * tail, the same reduced Fraction with no Fraction + Fraction
-    # on the tail's denominator (2.3 million bits, 7.6 s of gcds, at level 19).
-    num_tail = _tree_sum((tail_primes - 2).tolist(), operator.mul)
-    den_tail = _tree_sum(tail_primes.tolist(), operator.mul)
-    rm_product = row.M + (R0 - row.M) * Fraction(num_tail, den_tail)
+    # R0 * tail + M * (1 - tail), tail = prod_{p_j<q<=x} (q-2)/q, taken as M + (R0 - M) * tail.
+    num, den, _ = _reduced_ratio(tail_primes)
+    rm_product = row.M + (R0 - row.M) * _coprime_fraction(num, den)
 
     return MainTermReport(
         p_j=p_j,

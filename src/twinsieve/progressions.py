@@ -111,7 +111,8 @@ def boundary_twin_ranks(p: int) -> list[int]:
     The rank 1 (pair 5, 7) is excluded: level 5 strikes its full classes, so 1
     never enters any constants list.
     """
-    offsets = {nsix(q) for q in counts_row(p).primes[1:]}
+    check_level(p)
+    offsets = {nsix(q) for q in prime_array(6, p).tolist()}
     return sorted(v for v in offsets if v % 5 not in (1, 4) and classify(v).is_twin_rank)
 
 

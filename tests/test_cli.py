@@ -341,7 +341,7 @@ class TestErrorsAndOutput:
         def sieved(lo, hi):
             raise AssertionError("the level's primes were sieved above the guard")
 
-        monkeypatch.setattr(importlib.import_module("twinsieve.counting"), "primes_between", sieved)
+        monkeypatch.setattr(importlib.import_module("twinsieve.counting"), "prime_array", sieved)
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, argv[0], "--level", "1000003", *argv[1:])
         assert time.perf_counter() - t0 < 0.5
@@ -517,7 +517,12 @@ class TestColumnWriter:
         keys = records.dtype.names
         values = [row[0] for row in rows]
         column = records[keys[0]]
-        assert [type(v) for batch in cli._batches(column) for v in batch] == [int] * len(values)
+        for i, key in enumerate(keys[:2]):  # an int64 column's slices stay arrays; any other column becomes Python ints
+            kept = records[key].dtype == np.int64
+            batches = list(cli._batches(records[key]))
+            assert all(isinstance(batch, np.ndarray) == kept for batch in batches)
+            cells = [v for batch in batches for v in (batch.tolist() if kept else batch)]
+            assert cells == [row[i] for row in rows] and all(type(v) is int for v in cells)
         assert "".join(cli._json_pieces({"c": column})) == reference_dumps({"c": values})
         written = "".join(cli._json_pieces({"r": cli._Records(keys, records)}))
         assert written == reference_dumps({"r": [dict(zip(keys, row)) for row in rows]})
@@ -616,9 +621,12 @@ class TestInt64Text:
             assert run_cli(capsys, *argv) == (1, "", f"twinsieve twins: {line}\n")
 
 
-# Columns of one kind each, so that some batches are all ints or all strings and take the column path.
+# Columns of one kind each, so that some batches are all ints or all strings and take the column path;
+# an int64 column is passed as a 1-D int64 array.
+INT64_EDGES = [0, 2**63 - 1, -(2**63 - 1), -(2**63)]
 CSV_COLUMNS = {
     "int": st.integers() | st.integers(2**64, 2**80) | st.builds(lambda d: -(10**d) - 7, st.integers(600, 700)),
+    "int64": st.sampled_from(INT64_EDGES) | st.integers(-(2**63), 2**63 - 1) | st.integers(-9, 9),
     "str": st.text(),
     "bool": st.booleans(),
     "mixed": st.none() | st.booleans() | st.integers(2**64 - 2, 2**64 + 2) | st.fractions() | st.text()
@@ -629,15 +637,20 @@ CSV_COLUMNS = {
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.sampled_from(sorted(CSV_COLUMNS)), min_size=1, max_size=4).flatmap(
-        lambda kinds: st.lists(st.tuples(*(CSV_COLUMNS[k] for k in kinds)), max_size=10)
+        lambda kinds: st.tuples(st.just(kinds), st.lists(st.tuples(*(CSV_COLUMNS[k] for k in kinds)), max_size=10))
     ),
     st.integers(1, 4),
 )
-def test_csv_columns_equal_the_cell_by_cell_reference(rows, batch):
-    header = [f"c{i}" for i in range(len(rows[0]) if rows else 2)]
+@example((["int64"], [(v,) for v in INT64_EDGES]), 3)
+@example((["int64", "str"], [(v, "x") for v in INT64_EDGES]), 4)
+def test_csv_columns_equal_the_cell_by_cell_reference(table, batch):
+    kinds, rows = table
+    header = [f"c{i}" for i in range(len(kinds))]
     reference = "".join(",".join(map(cli._cell, row)) + "\n" for row in [header, *rows])
+    columns = [[row[i] for row in rows] for i in range(len(kinds))]
+    columns = [np.array(c, dtype=np.int64) if k == "int64" else c for k, c in zip(kinds, columns)]
     with written_in_batches_of(batch):
-        assert "".join(cli._csv_pieces(header, list(zip(*rows)))) == reference
+        assert "".join(cli._csv_pieces(header, columns)) == reference
 
 
 def dict_remnant_rows(rep) -> list[list]:

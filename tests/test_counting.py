@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import twinsieve.arith as arith
 import twinsieve.counting as counting
@@ -221,6 +221,55 @@ class TestLevelFactors:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 10**6
+
+
+class TestReducedRatio:
+    """_reduced_ratio over any ascending primes >= 5: prod (q - 2) = num * g, prod q = den * g, num/den in lowest terms."""
+
+    @staticmethod
+    def check(primes: np.ndarray):
+        num, den, g = counting._reduced_ratio(primes)
+        values = primes.tolist()
+        assert num * g == math.prod(q - 2 for q in values)
+        assert den * g == math.prod(values)
+        reference = Fraction(math.prod(q - 2 for q in values), math.prod(values))
+        assert (num, den) == (reference.numerator, reference.denominator)
+        return num, den, g
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(4, 2 * 10**5), st.integers(1, 2 * 10**5))
+    def test_any_prime_range(self, lo, width):
+        primes = arith.prime_array(lo, min(lo + width, 2 * 10**5))
+        assume(primes.size)
+        self.check(primes)
+
+    @pytest.mark.parametrize("q", [5, 7, 127, 199999])
+    def test_one_prime_shares_nothing(self, q):
+        assert self.check(np.array([q], dtype=np.int64)) == (q - 2, q, 1)
+
+    def test_five_shares_its_three_with_no_prime(self):
+        # 5 - 2 = 3 is no prime of the array, so only 7 - 2 = 5 is shared.
+        assert self.check(arith.prime_array(4, 7)) == (3, 7, 5)
+
+    def test_a_shared_prime_dividing_a_value_more_than_once(self):
+        # 127 - 2 = 5**3: one 5 cancels against the prime 5 and two stay in num.
+        assert self.check(np.array([5, 127], dtype=np.int64)) == (3 * 25, 127, 5)
+        assert self.check(np.array([113, 127], dtype=np.int64)) == (111 * 125, 113 * 127, 1)  # no 5 to cancel
+        for hi in (127, 130, 10007):
+            self.check(arith.prime_array(4, hi))
+
+    def test_no_big_gcd(self, monkeypatch):
+        calls = []
+        gcd = math.gcd
+
+        def spy(*args):
+            calls.append(min(map(abs, args), default=0))
+            return gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", spy)  # fractions looks math.gcd up at every call
+        counts_row(10007)
+        counting._reduced_ratio(arith.prime_array(17, 85025))
+        assert calls and max(calls) < 2**64
 
 
 class TestSupergroupSize:

@@ -234,6 +234,16 @@ class TestBoundaryValues:
         assert boundary_twin_ranks(17) == [2, 3]
         assert boundary_twin_ranks(31) == [2, 3, 5]
 
+    @pytest.mark.parametrize("p", [7, 61, 10007])
+    def test_no_level_products_are_built(self, monkeypatch, p):
+        def built(p_j):
+            raise AssertionError(f"counts_row({p_j}) built the level's products")
+
+        monkeypatch.setattr(progressions, "counts_row", built)
+        offsets = sorted({nsix(q) for q in primes_between(6, p)} - {1})  # level 5 strikes rank 1's classes
+        twin = _twin_truth(1, p // 6 + 1)  # the oracle's flags of ranks 1..N(p/6) and one more
+        assert boundary_twin_ranks(p) == [v for v in offsets if twin[v - 1]]
+
     def test_intruder_annotations(self):
         # The annotated intruders are exhaustive up to 73 (the list trails off
         # beyond that; 80 = 13*37-rank is the first unannotated one).  Every
