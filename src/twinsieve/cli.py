@@ -10,9 +10,12 @@ floats shortest round-trip decimals; a CSV cell space-joins a list and leaves
 None empty.  The JSON writer gives the bytes the json module writes with
 sorted keys and indent=2, without building the envelope first: a list goes
 out a batch at a time, each batch one join, and a list of flat records
-(_Records) fills one template per object.  A list payload may be a numpy
-column or record array: a batch of a 1-D int64 column becomes its text in
-numpy (_int64_text), a batch of any other one Python values.  The pieces go
+(_Records, given by its columns) fills one template per object.  A list
+payload may be a numpy column or record array: a batch of a 1-D int64 column
+becomes its text in numpy (_int64_text), a batch of any other one Python
+values.  A column may also be made a batch at a time (_Made: family's signs
+and nested forms), and a batch of rows then holds no more than _TEXT
+characters of made text.  The pieces go
 to stdout as they are made, or to a temp file that replaces --out only once
 it is complete.
 Identical argv produces byte-identical output, except for bench whose payload
@@ -29,13 +32,13 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -126,32 +129,56 @@ def _cell(v) -> str:
 
 @dataclass(frozen=True)
 class _Records:
-    """A list of flat JSON objects that share keys; each row holds one object's scalars in key order.
+    """A list of flat JSON objects that share keys, given as one column per key, in key order.
 
-    rows is a sequence of tuples or a 1-D record array, its fields in key order.
+    A column is anything _batches cuts: a numpy array, a list or a _Made column.
     """
 
     keys: tuple[str, ...]
-    rows: Sequence[tuple] | np.ndarray
+    columns: Sequence
+
+
+@dataclass(frozen=True)
+class _Made:
+    """A column whose values are made a batch at a time: make(source[lo:hi]) is the list of values lo..hi-1.
+
+    width bounds the characters of one value's text.
+    """
+
+    source: np.ndarray
+    make: Callable[[np.ndarray], list]
+    width: int
 
 
 _BATCH = 1 << 14  # list elements per written piece
+_TEXT = 1 << 18  # characters of made values per written piece, at most
 
 
-def _slices(array: np.ndarray):
-    """The array's slices of up to _BATCH elements."""
-    return (array[lo : lo + _BATCH] for lo in range(0, len(array), _BATCH))
+def _slices(array: np.ndarray, size: int):
+    """The array's slices of up to size elements."""
+    return (array[lo : lo + size] for lo in range(0, len(array), size))
 
 
-def _batches(items: Iterable):
-    """Batches of up to _BATCH items: a 1-D int64 array's slices as they are, for _int64_text; any other numpy array's slices as Python values, a slice at a time; lists otherwise."""
-    if isinstance(items, np.ndarray):
+def _batches(items: Iterable, size: int | None = None):
+    """Batches of up to size (default _BATCH) items: a _Made column's values, made a slice at a time; a 1-D int64 array's slices as they are, for _int64_text; any other numpy array's slices as Python values, a slice at a time; lists otherwise."""
+    size = size or _BATCH
+    if isinstance(items, _Made):
+        yield from map(items.make, _slices(items.source, size))
+    elif isinstance(items, np.ndarray):
         int64 = items.ndim == 1 and items.dtype == np.int64
-        yield from _slices(items) if int64 else (piece.tolist() for piece in _slices(items))
-        return
-    it = iter(items)
-    while batch := list(islice(it, _BATCH)):
-        yield batch
+        yield from _slices(items, size) if int64 else (piece.tolist() for piece in _slices(items, size))
+    else:
+        it = iter(items)
+        while batch := list(islice(it, size)):
+            yield batch
+
+
+def _rows(columns: Sequence):
+    """Batches of equal-length columns in step, each a tuple of the columns' batches: up to _BATCH rows, and
+    as many as keep the made values' text within _TEXT characters."""
+    width = sum(c.width for c in columns if isinstance(c, _Made))
+    size = max(1, min(_BATCH, _TEXT // width)) if width else _BATCH
+    return zip(*(_batches(c, size) for c in columns))
 
 
 def _int64_text(values: np.ndarray, sep: str, quote: str = '"') -> str:
@@ -189,8 +216,11 @@ def _int64_text(values: np.ndarray, sep: str, quote: str = '"') -> str:
     return text[keep].tobytes().decode("ascii")
 
 
-def _texts(values: list):
-    """JSON texts of a batch of scalars, a C-level map if all are ints or all strings; None if one is a container."""
+def _texts(values):
+    """JSON texts of a batch of scalars: a slice of a 1-D int64 array through _int64_text, a C-level map if all
+    are ints or all strings; None if one is a container."""
+    if isinstance(values, np.ndarray):
+        return _int64_text(values, "\n").split("\n")
     kinds = set(map(type, values))
     if kinds == {int}:
         return map('"%d"'.__mod__, values)
@@ -202,19 +232,19 @@ def _texts(values: list):
 
 
 def _record_texts(keys: tuple[str, ...], indent: str):
-    """A function from a batch of rows to their JSON objects at indent: one template, filled column by column."""
+    """A function from a batch of columns, in key order, to their JSON objects at indent: one template, filled column by column."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     lines = (f"{indent}  {encode_basestring_ascii(keys[i]).replace('%', '%%')}: %s" for i in order)
     template = "{\n" + ",\n".join(lines) + "\n" + indent + "}"
-    return lambda rows: map(template.__mod__, zip(*(_texts(list(map(itemgetter(i), rows))) for i in order)))
+    return lambda columns: map(template.__mod__, zip(*(_texts(columns[i]) for i in order)))
 
 
 def _json_pieces(obj, indent: str = ""):
     """Yield the text the json module writes for obj with sort_keys, indent=2 and separators (",", ": ").
 
     Every scalar goes through _exact first.  A list, a tuple, a 1-D numpy
-    array or the rows of _Records go out a batch at a time, each batch one
-    join: a slice of a 1-D int64 array is one _int64_text, a batch of ints or
+    array or the columns of _Records (in step, by _rows) go out a batch at a
+    time, each batch one join: a slice of a 1-D int64 array is one _int64_text, a batch of ints or
     of strings is a C-level map, records fill one template per object, and
     only a batch holding containers recurses element by element.
     """
@@ -233,7 +263,7 @@ def _json_pieces(obj, indent: str = ""):
         lead, sep = "[\n" + inner, ",\n" + inner
         records = isinstance(obj, _Records)
         texts_of = _record_texts(obj.keys, inner) if records else _texts
-        for batch in _batches(obj.rows if records else obj):
+        for batch in _rows(obj.columns) if records else _batches(obj):
             texts = [_int64_text(batch, sep)] if isinstance(batch, np.ndarray) else texts_of(batch)
             if texts is None:
                 for item in batch:
@@ -258,9 +288,9 @@ def _csv_cells(column):
 
 
 def _csv_pieces(header: list[str], columns: Sequence):
-    """The CSV text of the header and the equal-length columns, a batch of lines per piece; each column is batched on its own."""
+    """The CSV text of the header and the equal-length columns, a batch of lines per piece; the columns are batched in step by _rows."""
     yield ",".join(map(_cell, header)) + "\n"
-    for batch in zip(*map(_batches, columns)):
+    for batch in _rows(columns):
         yield "\n".join(map(",".join, zip(*map(_csv_cells, batch)))) + "\n"
 
 
@@ -312,11 +342,14 @@ def _load_cached_constants(cache_dir: str, level: int):
     row = counts_row(level)
     modulus, count = row.L, row.R
     try:
-        with path.open() as fh:
+        with path.open() as fh, warnings.catch_warnings():
+            # loadtxt skips a blank line with this warning, and warns of a list with no values, which is refused below
+            warnings.filterwarnings("error", "Input line", UserWarning)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             head = fh.readline()
             # one line past count is enough to refuse the file
-            constants = np.fromiter(map(int, islice(fh, count + 1)), dtype=np.int64)
-    except (ValueError, OverflowError):  # a line that is not an integer or not an int64, or not text at all
+            constants = np.loadtxt(fh, dtype=np.int64, comments=None, max_rows=count + 1, ndmin=1)
+    except (ValueError, UserWarning):  # a line that is blank, not an integer or not an int64, or not text at all
         raise DomainError(f"cache file {path} is not a constants list") from None
     if (head != f"# level={level} modulus={modulus}\n" or constants.size != count  # count is at least 3
             or constants[0] < 0 or constants[-1] >= modulus or not np.all(constants[1:] > constants[:-1])):
@@ -327,7 +360,7 @@ def _load_cached_constants(cache_dir: str, level: int):
 def _store_cached_constants(cache_dir: str, level: int, modulus: int, constants) -> None:
     path = _cache_path(cache_dir, level)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = (_int64_text(piece, "\n", quote="") + "\n" for piece in _slices(constants))
+    lines = (_int64_text(piece, "\n", quote="") + "\n" for piece in _slices(constants, _BATCH))
     _write_atomic(path, chain([f"# level={level} modulus={modulus}\n"], lines))
 
 
@@ -346,9 +379,10 @@ def _cmd_twins(args):
 
 
 def _cmd_nonranks(args):
-    terms = _Records(("value", "n", "sign"), nonranks_of(args.prime, args.limit))
-    results = {"prime": args.prime, "limit": args.limit, "count": len(terms.rows), "terms": terms}
-    return results, lambda: (list(terms.keys), [terms.rows[k] for k in terms.keys])
+    terms = nonranks_of(args.prime, args.limit)
+    records = _Records(terms.dtype.names, [terms[k] for k in terms.dtype.names])
+    results = {"prime": args.prime, "limit": args.limit, "count": len(terms), "terms": records}
+    return results, lambda: (list(records.keys), records.columns)
 
 
 def _cmd_constants(args):
@@ -373,7 +407,7 @@ def _cmd_remnants(args):
         "count": len(rep.remnants),
         "remnants": rep.remnants,
         "front_twin_ranks": rep.front_twin_ranks,
-        "intruders": _Records(("value", "parent"), rep.intruders),
+        "intruders": _Records(("value", "parent"), [rep.intruders["value"], rep.intruders["parent"]]),
     }
     return results, lambda: (["value", "kind", "parent"], _remnant_columns(rep))
 
@@ -394,13 +428,14 @@ def _remnant_columns(rep) -> list[np.ndarray]:
 
 def _cmd_family(args):
     fam = crt_family(_parse_primes(args.primes))
-    if args.nested is None:
-        members = _Records(("signs", "residue"), fam.members)
-    else:
-        texts = nested_form(fam, args.nested)
-        members = _Records(("signs", "residue", "nested"), [(*m, t) for m, t in zip(fam.members, texts)])
+    keys, columns = ("signs", "residue"), [_Made(fam.members, fam.sign_strings, len(fam.primes)), fam.members["residue"]]
+    if args.nested is not None:
+        # Each prime writes "q*(", a coefficient of at most q and ") + ", or the outer prime "q*(" and ") - N".
+        width = sum(2 * len(str(q)) + 7 for q in fam.primes)
+        keys, columns = keys + ("nested",), columns + [_Made(fam.members, nested_form(fam, args.nested), width)]
+    members = _Records(keys, columns)
     results = {"primes": fam.primes, "modulus": fam.modulus, "members": members}
-    return results, lambda: (list(members.keys), list(zip(*members.rows)))
+    return results, lambda: (list(keys), columns)
 
 
 def _cmd_counts(args):

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -168,17 +167,31 @@ def remnants_below(p_sieve: int, bound: int) -> RemnantReport:
     )
 
 
+# ProgressionFamily.members: sign bits and residue, the residue as Python ints where int64 could overflow.
+FAMILY = np.dtype([("signs", np.uint32), ("residue", np.int64)])
+FAMILY_OBJECT = np.dtype([("signs", np.uint32), ("residue", object)])
+_SIGN_CHARS = np.frombuffer(b"+-", dtype=np.uint8)
+
+
 @dataclass(frozen=True, eq=False)
 class ProgressionFamily:
     """The 2^m simultaneous non-rank progressions of m distinct primes.
 
-    members are (signs, residue) pairs sorted by residue, signs one "+" or "-"
-    per prime in ascending order ("+-+"): residue = s_i * N(p_i/6) (mod p_i).
+    members is a FAMILY record array sorted by residue, or FAMILY_OBJECT when
+    modulus + max(primes)**2 reaches 2**63.  A member's sign bits, read from
+    bit m-1 down to bit 0, spell its signs over the primes in ascending order,
+    1 for "-" ("-+-" is 0b101): residue = s_i * N(p_i/6) (mod p_i).
     """
 
     primes: tuple[int, ...]
     modulus: int
-    members: tuple[tuple[str, int], ...]
+    members: np.ndarray
+
+    def sign_strings(self, members: np.ndarray) -> list[str]:
+        """The signs of members (a slice of self.members) as strings, one "+" or "-" per prime ascending."""
+        m = len(self.primes)
+        bits = (members["signs"][:, None] >> np.arange(m - 1, -1, -1, dtype=np.uint32)) & 1
+        return _SIGN_CHARS[bits].view(f"S{m}").ravel().astype(f"U{m}").tolist()
 
 
 def crt_family(primes: Sequence[int]) -> ProgressionFamily:
@@ -186,9 +199,13 @@ def crt_family(primes: Sequence[int]) -> ProgressionFamily:
 
     Each of the 2^m sign vectors has a unique residue mod prod(primes); every
     positive member of such a class, past the n = 0 offsets, is a non-rank of
-    every prime in the list.  In Gauss's form of the CRT the residue is
-    sum s_i * N(p_i/6) * e_i (mod P), e_i the idempotent of p_i, so the family
-    is every signed sum of m fixed components.
+    every prime in the list.  The residues come from Garner's mixed-radix CRT
+    over the whole family at once: each prime q, ascending, doubles the column,
+    r + P*d with d = (+-N(q/6) - r mod q) * P^-1 mod q and P the product of the
+    primes before q, + before -, so a member's index before the one sort by
+    residue is its sign bits.  The column is int64 when modulus + max(primes)**2
+    is below 2**63 and Python ints otherwise, under the same numpy expressions;
+    Python ints are sorted by their 62-bit limbs.
     """
     ps = sorted(primes)
     m = len(ps)
@@ -200,26 +217,35 @@ def crt_family(primes: Sequence[int]) -> ProgressionFamily:
         if q < 5 or not is_prime(q):
             raise DomainError(f"{q} is not a prime >= 5")
     modulus = math.prod(ps)
-    signs = [""]
-    sums = [0]
-    for q in ps:  # each prime doubles both lists, + before -
-        rest = modulus // q
-        c = nsix(q) * rest * pow(rest, -1, q)  # N(q/6) * e_q
-        signs = [sg + s for sg in signs for s in "+-"]
-        sums = [r + v for r in sums for v in (c, -c)]
-    members = sorted(zip(signs, (r % modulus for r in sums)), key=itemgetter(1))
-    return ProgressionFamily(primes=tuple(ps), modulus=modulus, members=tuple(members))
+    exact = modulus + ps[-1] ** 2 < 2**63  # bounds r + P*d, (+-N(q/6) - r mod q) * P^-1 and nested_form's residue +- N
+    r, P = np.zeros(1, dtype=np.int64 if exact else object), 1
+    for q in ps:
+        off, inv, rm = nsix(q), pow(P, -1, q), r % q
+        d = np.stack([(off - rm) * inv % q, (-off - rm) * inv % q], axis=1)
+        r, P = np.add(r[:, None], np.multiply(d, P, out=d), out=d).ravel(), P * q  # in place: one new value per member
+    order = np.lexsort([r] if exact else [_limb(r, s) for s in range(0, modulus.bit_length(), 62)])
+    members = np.empty(r.size, dtype=FAMILY if exact else FAMILY_OBJECT)
+    members["signs"], members["residue"] = order, r[order]
+    return ProgressionFamily(primes=tuple(ps), modulus=modulus, members=members)
 
 
-def nested_form(family: ProgressionFamily, outer: int) -> tuple[str, ...]:
-    """Every member of family as text with the prime outer outermost, in member order.
+def _limb(r: np.ndarray, shift: int) -> np.ndarray:
+    """Bits shift..shift+61 of a column of non-negative Python ints, as int64."""
+    bits = r >> shift
+    return np.bitwise_and(bits, 2**62 - 1, out=bits).astype(np.int64)
+
+
+def nested_form(family: ProgressionFamily, outer: int) -> Callable[[np.ndarray], list[str]]:
+    """The texts of family's members with the prime outer outermost, as a function of a slice of family.members.
 
     A member reads outer*(q1*(q2*(...*(qk*n + r_k)...) + r_2) + r_1) +- N(outer/6),
     the remaining primes ascending, its coefficients the mixed-radix digits of
     (residue -+ N(outer/6)) / outer, so n = 0 gives the residue; the innermost
     coefficient may equal its own radix when the residue sits at the top of the
-    period.  Only the digits and the sign change from member to member, so one
-    template serves the whole family.
+    period.  The digits come a slice at a time from the residue column by //
+    and % (on int64 or on Python ints, as the column is), and fill one template
+    that all members share.  The family and outer are checked here, before any
+    text is made.
     """
     ps = family.primes
     if len(ps) < 2:
@@ -228,19 +254,20 @@ def nested_form(family: ProgressionFamily, outer: int) -> tuple[str, ...]:
         raise DomainError(f"{outer} is not one of the family primes")
     k = ps.index(outer)
     *rest, last = ps[:k] + ps[k + 1 :]
-    off = nsix(outer)
-    template = (f"{outer}*(" + "".join(f"{q}*(" for q in rest) + f"{last}*n + {{}}"
-                + ") + {}" * len(rest) + f") {{}} {off}")
-    texts = []
-    for signs, residue in family.members:
-        sign = signs[k]
-        body = (residue - off if sign == "+" else residue + off) // outer
+    off, shift = nsix(outer), len(ps) - 1 - k  # shift: the outer prime's sign bit
+    template = (f"{outer}*(" + "".join(f"{q}*(" for q in rest) + f"{last}*n + %d"
+                + ") + %d" * len(rest) + f") %s {off}")
+
+    def texts(members: np.ndarray) -> list[str]:
+        minus = (members["signs"] >> shift) & 1
+        body = (members["residue"] + np.where(minus, off, -off)) // outer
         digits = []
         for q in rest:
-            body, digit = divmod(body, q)
-            digits.append(digit)
-        texts.append(template.format(body, *reversed(digits), sign))
-    return tuple(texts)
+            digits.append((body % q).tolist())
+            body = body // q
+        return list(map(template.__mod__, zip(body.tolist(), *reversed(digits), np.where(minus, "-", "+").tolist())))
+
+    return texts
 
 
 def gap_pattern(p: int) -> tuple[int, int]:

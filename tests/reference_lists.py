@@ -95,6 +95,11 @@ def slow_rm_product(R0: int, M: int, tail_primes: list[int]) -> Fraction:
 SIGN_VALUE = {"+": 1, "-": -1}
 
 
+def member_pairs(family) -> list[tuple[str, int]]:
+    """A family's members as the (signs, residue) pairs crt_family returned before its members became records."""
+    return list(zip(family.sign_strings(family.members), family.members["residue"].tolist()))
+
+
 def slow_nested_form(primes, signs, residue: int, outer_index: int = 0) -> str:
     """A residue's text with primes[outer_index] outermost, each sign and congruence checked first.
 

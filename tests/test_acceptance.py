@@ -47,6 +47,7 @@ from reference_lists import (
     TRIPLE_FAMILY_5_7_11,
     TWIN_INDICES_TO_108,
     TWIN_RANKS_TO_18,
+    member_pairs,
 )
 
 REPORTS = Path(__file__).resolve().parents[1] / "reports"
@@ -153,10 +154,10 @@ def test_criterion_5_progression_families():
                 v = r + fam.modulus  # representative past every n = 0 offset
                 if all(v % q in (nsix(q), q - nsix(q)) for q in primes):
                     hits.append(r)
-            assert hits == [residue for _, residue in fam.members]
-    pair = dict(crt_family([5, 11]).members)
+            assert hits == fam.members["residue"].tolist()
+    pair = dict(member_pairs(crt_family([5, 11])))
     assert pair["--"] == 9
-    triple = dict(crt_family([5, 7, 11]).members)
+    triple = dict(member_pairs(crt_family([5, 7, 11])))
     assert triple["-+-"] == 64
     assert triple == TRIPLE_FAMILY_5_7_11
     print("criterion 5 PASS: 2^m families match brute-force period scans for all subsets of {5,7,11,13}")

@@ -382,30 +382,38 @@ class TestErrorsAndOutput:
         code, out, err = run_cli(capsys, "counts", "--level", "7")
         assert (code, out, err) == (1, "", "twinsieve counts: MemoryError\n")
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "# level=7 modulus=35\n",
-            "# level=7 modulus=35\n1\n2\n",  # too few constants
-            "# level=5 modulus=35\n" + "".join(f"{c}\n" for c in C7),  # another level
-            "# level=7 modulus=36\n" + "".join(f"{c}\n" for c in C7),  # wrong modulus
-            "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in reversed(C7)),  # not ascending
-            "# level=7 modulus=35\n" + "".join(f"{c + 35}\n" for c in C7),  # out of range
-            "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + "x\n",  # not an integer
-            "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + f"{C7[-2]}\n",  # repeated
-            "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + f"{2**63}\n",  # not an int64
-            "# level=7 modulus=35\n" + f"{-(2**63) - 1}\n" + "".join(f"{c}\n" for c in C7[1:]),  # below int64
-            "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7) + "".join(f"{c}\n" for c in C7),  # too many
-        ],
-        ids=["empty", "header-only", "too-few", "other-level", "wrong-modulus", "descending",
-             "out-of-range", "not-an-integer", "repeated", "int64-overflow", "int64-underflow", "too-many"],
-    )
-    def test_invalid_cache_file_exits_1(self, tmp_path, capsys, text):
+    LIST, COUNT = "is not a constants list", "does not hold the 15 level-7 constants"
+
+    @pytest.mark.parametrize("text,kind", [
+        pytest.param(text, kind, id=name) for name, kind, text in [
+            ("empty", COUNT, ""),
+            ("header-only", COUNT, "# level=7 modulus=35\n"),
+            ("too-few", COUNT, "# level=7 modulus=35\n1\n2\n"),
+            ("other-level", COUNT, "# level=5 modulus=35\n" + "".join(f"{c}\n" for c in C7)),
+            ("wrong-modulus", COUNT, "# level=7 modulus=36\n" + "".join(f"{c}\n" for c in C7)),
+            ("descending", COUNT, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in reversed(C7))),
+            ("out-of-range", COUNT, "# level=7 modulus=35\n" + "".join(f"{c + 35}\n" for c in C7)),
+            ("not-an-integer", LIST, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + "x\n"),
+            ("repeated", COUNT, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + f"{C7[-2]}\n"),
+            ("int64-overflow", LIST, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + f"{2**63}\n"),
+            ("int64-underflow", LIST, "# level=7 modulus=35\n" + f"{-(2**63) - 1}\n" + "".join(f"{c}\n" for c in C7[1:])),
+            ("too-many", COUNT, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7) + "".join(f"{c}\n" for c in C7)),
+            ("blank-line", LIST, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:5]) + "\n"
+             + "".join(f"{c}\n" for c in C7[5:])),
+            ("blank-last-line", LIST, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7) + "\n"),  # where one more is read
+            ("whitespace-line", LIST, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:5]) + " \t\n"
+             + "".join(f"{c}\n" for c in C7[5:])),
+            ("comment-line", LIST, "# level=7 modulus=35\n# a comment\n" + "".join(f"{c}\n" for c in C7)),
+            ("not-text", LIST, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + "\x00\n"),
+            ("float", LIST, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + f"{C7[-1]}.0\n"),
+        ]
+    ])
+    def test_invalid_cache_file_exits_1(self, tmp_path, capsys, text, kind):
+        # A line that cannot be read as an int64 refuses the file as a whole; readable values that are not C_7 name the count.
         (tmp_path / "constants-7.txt").write_text(text)
         code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), "constants", "--level", "7")
         assert code == 1 and out == ""
-        assert err.startswith("twinsieve constants: cache file ") and err.count("\n") == 1
+        assert err == f"twinsieve constants: cache file {tmp_path / 'constants-7.txt'} {kind}\n"
 
     def test_cache_roundtrip(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
@@ -486,8 +494,9 @@ class TestJsonWriter:
     @given(RECORDS, st.integers(1, 4))
     def test_records_write_as_their_objects(self, records, batch):
         keys, rows = records
+        columns = [[row[i] for row in rows] for i in range(len(keys))]
         with written_in_batches_of(batch):
-            written = "".join(cli._json_pieces({"records": cli._Records(keys, rows)}))
+            written = "".join(cli._json_pieces({"records": cli._Records(keys, columns)}))
             assert written == reference_dumps({"records": [dict(zip(keys, row)) for row in rows]})
 
     def test_uniform_lists_longer_than_a_batch(self):
@@ -524,7 +533,7 @@ class TestColumnWriter:
             cells = [v for batch in batches for v in (batch.tolist() if kept else batch)]
             assert cells == [row[i] for row in rows] and all(type(v) is int for v in cells)
         assert "".join(cli._json_pieces({"c": column})) == reference_dumps({"c": values})
-        written = "".join(cli._json_pieces({"r": cli._Records(keys, records)}))
+        written = "".join(cli._json_pieces({"r": cli._Records(keys, [records[k] for k in keys])}))
         assert written == reference_dumps({"r": [dict(zip(keys, row)) for row in rows]})
         assert "".join(cli._csv_pieces(["v"], [column])) == reference_csv(["v"], [[v] for v in values])
         assert "".join(cli._csv_pieces(list(keys), [records[k] for k in keys])) == reference_csv(keys, rows)
@@ -554,6 +563,23 @@ class TestColumnWriter:
         records["value"] = np.array([r[0] for r in rows], dtype=object)
         records["n"], records["sign"] = [r[1] for r in rows], [r[2] for r in rows]
         self.check(records, rows)
+
+    @pytest.mark.parametrize("width", [1, 100, cli._TEXT // 3, cli._TEXT, 2 * cli._TEXT])
+    def test_made_columns_cut_batches_by_their_width(self, width):
+        # A made column is made one batch at a time, each of at most _TEXT // width rows (and at least one).
+        size = max(1, min(cli._BATCH, cli._TEXT // width))
+        source = np.arange(3 * size + 5, dtype=np.int64)
+        sizes = []
+
+        def make(piece):
+            sizes.append(len(piece))
+            return [f"v{v}" for v in piece.tolist()]
+
+        rows = [(f"v{v}", v) for v in source.tolist()]
+        records = cli._Records(("a", "b"), [cli._Made(source, make, width), source])
+        assert "".join(cli._json_pieces({"r": records})) == reference_dumps({"r": [{"a": a, "b": b} for a, b in rows]})
+        assert "".join(cli._csv_pieces(["a", "b"], records.columns)) == reference_csv(["a", "b"], rows)
+        assert sum(sizes) == 2 * len(source) and max(sizes) == size
 
 
 INT64_EDGES = [0, 9, 10, 99, 100, 10**18 - 1, 10**18, 2**63 - 1, -(2**63 - 1), -(2**63), -1, -10, -100]
@@ -687,6 +713,26 @@ class TestNonRanksBeyondInt64:
     def test_values_are_exact(self, capsys):
         terms = run_json(capsys, "nonranks", "--prime", "4611686018427387847", "--limit", str(2**64))["results"]["terms"]
         assert terms[-1] == {"value": "17678129737304986747", "n": "4", "sign": "-"}
+
+
+class TestFamilyBytes:
+    # Digests of stdout before the members became sign-bit records; the last two families hold Python ints.
+    @pytest.mark.parametrize("argv,digest", [
+        ("family --primes 5,7,11,13,17,19,23,29,31,37,41,43,47,53 --nested 53 --emit csv",
+         "95d05af1b398b7f33604f7bd29609cc14147090966dd05d39869f68da9198d06"),
+        ("family --primes 5,7,11,13,17,19,23,29,31,37,41,43,47,53",
+         "0636255732f2b176175531d86168b78055bc7a3bf8eab3dfe318f1803b87e29b"),
+        ("family --primes 5,7,11,13,17,19,23,29,31,37,41,43,47,53 --emit csv",
+         "f156d2887c76e75daa79a462dbccb67efbbea6a8eab9f773c9629eb1d8cadbcd"),
+        ("family --primes 18446744073709551557,5,7,11 --nested 5",
+         "373ff2d19e8f543b40b720939f335b4e022f786dcd1d5a42b06623dcc57012c5"),
+        ("family --primes 4294967291,4294967279,2147483647,5 --nested 5 --emit csv",
+         "2f5995a81a6ad27b868918e5515f480ae2b9cdb40a49b8f3728c20b552b009ea"),
+    ], ids=["nested-csv", "json", "csv", "object-json", "object-csv"])
+    def test_same_bytes(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDecimalString:

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twinsieve import arith, progressions
 from twinsieve.arith import _strike, next_prime, nsix, primes_between
@@ -16,6 +16,8 @@ from twinsieve.counting import counts_row, m_bound
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import _twin_truth
 from twinsieve.progressions import (
+    FAMILY,
+    FAMILY_OBJECT,
     REMNANTS_GUARD,
     boundary_twin_ranks,
     crt_family,
@@ -36,6 +38,7 @@ from reference_lists import (
     SIGN_VALUE,
     TRIPLE_FAMILY_5_7_11,
     TWIN_RANKS_TO_18,
+    member_pairs,
     slow_nested_form,
 )
 
@@ -358,10 +361,32 @@ class TestRemnants:
             remnants_below(7, 0)
 
 
+# Primes whose families sit on either side of the int64 limit: near 2**32, near sqrt(2**63) (whose square alone
+# decides the dtype), near 2**31 and just below 2**64.
+LARGE_PRIMES = [4294967291, 4294967279, 3037000493, 3037000453, 2147483647, 2147483629, 18446744073709551557,
+                18446744073709551533]
+# Sets whose modulus or largest square falls just inside or just outside the int64 rule, with its side.
+INT64_EDGE_SETS = [
+    (primes_between(4, 53), True),  # the benchmark's 14 primes: modulus 5,431,526,412,865,007,455
+    (primes_between(4, 59), False),
+    ([3037000493], True),  # modulus + q^2 is 2^63 - 39,335,532,266
+    ([5, 7, 3037000493], False),
+    ([2147483647, 2147483629], True),  # modulus and q^2 both about 2^62
+    ([3037000453, 3037000493], False),
+    ([5, 4294967291], False),  # a modulus of 35 bits, but q^2 passes 2^63
+    ([5, 7, 18446744073709551557], False),
+]
+MIXED_PRIMES = st.lists(st.sampled_from(primes_between(4, 97) + LARGE_PRIMES), min_size=1, max_size=10, unique=True)
+
+
+def int64_rule(primes) -> bool:
+    return math.prod(primes) + max(primes) ** 2 < 2**63
+
+
 class TestCrtFamily:
     def test_pair_5_7(self):
         fam = crt_family([5, 7])
-        by_signs = dict(fam.members)
+        by_signs = dict(member_pairs(fam))
         assert fam.modulus == 35
         assert by_signs["++"] == 1
         assert by_signs["--"] == 34
@@ -374,28 +399,37 @@ class TestCrtFamily:
             (7, 13): {"++": 15, "--": 76},
         }
         for primes, expected in cases.items():
-            by_signs = dict(crt_family(list(primes)).members)
+            by_signs = dict(member_pairs(crt_family(list(primes))))
             for signs, residue in expected.items():
                 assert by_signs[signs] == residue
 
     def test_triple_5_7_11(self):
         fam = crt_family([5, 7, 11])
-        assert dict(fam.members) == TRIPLE_FAMILY_5_7_11
+        assert dict(member_pairs(fam)) == TRIPLE_FAMILY_5_7_11
 
-    def test_members_are_sign_string_residue_pairs(self):
+    def test_members_are_sign_bit_residue_records(self):
         fam = crt_family([11, 5, 7])
         assert fam.primes == (5, 7, 11)
-        assert fam.members[0] == ("-+-", 64)
-        for signs, residue in fam.members:
+        assert fam.members.dtype == FAMILY
+        assert fam.members[0].tolist() == (0b101, 64)  # "-+-": bit 2 for 5, bit 1 for 7, bit 0 for 11
+        assert fam.sign_strings(fam.members[:1]) == ["-+-"]
+        for signs, residue in member_pairs(fam):
             assert type(signs) is str and type(residue) is int and len(signs) == 3
+        assert sorted(fam.members["signs"].tolist()) == list(range(8))
+
+    def test_sign_bits_spell_the_signs(self):
+        fam = crt_family(primes_between(4, 31))
+        m = len(fam.primes)
+        for bits, signs in zip(fam.members["signs"].tolist(), fam.sign_strings(fam.members)):
+            assert signs == format(bits, f"0{m}b").replace("0", "+").replace("1", "-")
 
     def test_member_congruences_and_sorting(self):
         fam = crt_family([5, 7, 11, 13])
         assert len(fam.members) == 16
-        residues = [residue for _, residue in fam.members]
+        residues = fam.members["residue"].tolist()
         assert residues == sorted(residues)
         assert len(set(residues)) == 16
-        for signs, residue in fam.members:
+        for signs, residue in member_pairs(fam):
             for q, s in zip(fam.primes, signs):
                 sign = 1 if s == "+" else -1
                 assert residue % q == (sign * nsix(q)) % q
@@ -411,11 +445,11 @@ class TestCrtFamily:
                     v = r + fam.modulus
                     if all(v % q in (nsix(q), q - nsix(q)) for q in primes):
                         hits.append(r)
-                assert hits == [residue for _, residue in fam.members]
+                assert hits == fam.members["residue"].tolist()
 
     def test_members_classify_as_non_ranks(self):
         fam = crt_family([5, 7, 11])
-        for _, residue in fam.members:
+        for residue in fam.members["residue"].tolist():
             for n in (1, 2, 3):
                 c = classify(residue + n * fam.modulus)
                 assert not c.is_twin_rank
@@ -431,16 +465,33 @@ class TestCrtFamily:
         with pytest.raises(DomainError):
             crt_family([3, 5])
 
+    @pytest.mark.parametrize("primes,int64", INT64_EDGE_SETS, ids=[str(len(ps)) + ":" + str(max(ps)) for ps, _ in INT64_EDGE_SETS])
+    def test_residue_dtype_at_the_int64_limit(self, primes, int64):
+        assert int64_rule(primes) == int64
+        fam = crt_family(primes)
+        assert fam.members.dtype == (FAMILY if int64 else FAMILY_OBJECT)
+        residues = fam.members["residue"].tolist()
+        assert all(type(r) is int for r in residues) and all(a < b for a, b in zip(residues, residues[1:]))
+        if len(primes) <= 10:
+            assert member_pairs(fam) == list(slow_family_members(primes))
+
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.sampled_from(primes_between(4, 97)), min_size=1, max_size=10, unique=True))
+    @given(st.lists(st.sampled_from(primes_between(4, 97)), min_size=1, max_size=10, unique=True) | MIXED_PRIMES)
+    @example(primes_between(4, 31))  # 10 primes, int64
+    @example([5, 7, 11, 13, 17, 19, 23, 29, 18446744073709551557, 18446744073709551533])  # about 1,300 bits
+    @example([4294967291, 4294967279, 5])
+    @example([3037000493, 5, 7])
     def test_closed_form_equals_per_member_crt(self, primes):
-        assert crt_family(primes).members == slow_family_members(primes)
+        fam = crt_family(primes)
+        assert fam.members.dtype == (FAMILY if int64_rule(primes) else FAMILY_OBJECT)
+        assert member_pairs(fam) == list(slow_family_members(primes))
 
     def test_twenty_primes_against_per_member_crt(self):
         ps = primes_between(4, 79)
         fam = crt_family(ps)
         assert len(ps) == 20 and len(fam.members) == 1 << 20
-        residues = [residue for _, residue in fam.members]
+        assert fam.members.dtype == FAMILY_OBJECT
+        residues = fam.members["residue"].tolist()
         assert all(a < b for a, b in zip(residues, residues[1:]))
         offsets = [nsix(q) for q in ps]
         rng = random.Random(20)
@@ -448,15 +499,15 @@ class TestCrtFamily:
             signs = "".join(rng.choice("+-") for _ in ps)
             residue = _crt_residue(ps, offsets, [SIGN_VALUE[s] for s in signs])
             i = bisect.bisect_left(residues, residue)
-            assert fam.members[i] == (signs, residue)
+            assert (fam.sign_strings(fam.members[i : i + 1])[0], residues[i]) == (signs, residue)
 
 
 def _member_index(fam, signs: str) -> int:
-    return [s for s, _ in fam.members].index(signs)
+    return fam.sign_strings(fam.members).index(signs)
 
 
 def _member_text(fam, signs: str, outer: int) -> str:
-    return nested_form(fam, outer)[_member_index(fam, signs)]
+    return nested_form(fam, outer)(fam.members)[_member_index(fam, signs)]
 
 
 def _evaluate(text, n: int) -> int:
@@ -465,6 +516,10 @@ def _evaluate(text, n: int) -> int:
 
 
 FAMILY_PRIMES = st.lists(st.sampled_from(primes_between(4, 97)), min_size=2, max_size=9, unique=True)
+MIXED_FAMILY_PRIMES = st.lists(st.sampled_from(primes_between(4, 97) + LARGE_PRIMES), min_size=2, max_size=7, unique=True)
+# Primes Q whose N(Q/6) is +-1 mod 5 and mod 7, so the family of 5, 7 and Q has a member at the top of its
+# period, residue = modulus - N(Q/6), whose innermost coefficient with Q outermost is 7, its own radix.
+TOP_OF_PERIOD_PRIMES = [2147483137, 4294966657, 18446744073709551427]
 
 
 class TestNestedForm:
@@ -488,6 +543,18 @@ class TestNestedForm:
         assert text == "5*(7*n + 7) - 1"
         assert _evaluate(text, 0) == 34
 
+    @pytest.mark.parametrize("q", TOP_OF_PERIOD_PRIMES)
+    def test_top_of_period_on_both_dtypes(self, q):
+        fam = crt_family([5, 7, q])
+        assert fam.members.dtype == (FAMILY if int64_rule([5, 7, q]) else FAMILY_OBJECT)
+        top = fam.modulus - nsix(q)
+        i = fam.members["residue"].tolist().index(top)
+        signs = fam.sign_strings(fam.members[i : i + 1])[0]
+        text = nested_form(fam, q)(fam.members[i : i + 1])[0]
+        assert text == f"{q}*(5*(7*n + 7) + 0) {signs[2]} {nsix(q)}"
+        assert text == slow_nested_form(fam.primes, signs, top, 2)
+        assert _evaluate(text, 0) == top and _evaluate(text, 1) == top + fam.modulus
+
     def test_triple_member(self):
         text = _member_text(crt_family([5, 7, 11]), "-+-", 5)
         assert text == "5*(7*(11*n + 1) + 6) - 1"
@@ -499,20 +566,31 @@ class TestNestedForm:
     def test_every_member_every_outer(self, primes):
         fam = crt_family(primes)
         for q in fam.primes:
-            texts = nested_form(fam, q)
+            texts = nested_form(fam, q)(fam.members)
             assert len(texts) == len(fam.members)
-            for text, (_, residue) in zip(texts, fam.members):
+            for text, residue in zip(texts, fam.members["residue"].tolist()):
                 code = compile(text, "<nested form>", "eval")
                 assert _evaluate(code, 0) == residue
                 assert _evaluate(code, 3) == residue + 3 * fam.modulus
 
     @settings(max_examples=40, deadline=None)
-    @given(FAMILY_PRIMES)
+    @given(FAMILY_PRIMES | MIXED_FAMILY_PRIMES)
+    @example([5, 7, 11, 13, 17, 19, 23, 29, 31])  # int64
+    @example([5, 7, 4294967291, 18446744073709551557])  # Python ints
     def test_equals_the_per_member_reference(self, primes):
         fam = crt_family(primes)
         for k, q in enumerate(fam.primes):
-            expected = [slow_nested_form(fam.primes, signs, residue, k) for signs, residue in fam.members]
-            assert list(nested_form(fam, q)) == expected
+            expected = [slow_nested_form(fam.primes, signs, residue, k) for signs, residue in member_pairs(fam)]
+            assert nested_form(fam, q)(fam.members) == expected
+
+    @pytest.mark.parametrize("primes", [primes_between(4, 37), [5, 7, 11, 13, 18446744073709551557]])
+    def test_slices_give_the_texts_of_the_whole(self, primes):
+        fam = crt_family(primes)
+        texts = nested_form(fam, fam.primes[1])
+        whole = texts(fam.members)
+        for size in (1, 7, 64):
+            assert [t for lo in range(0, len(whole), size) for t in texts(fam.members[lo : lo + size])] == whole
+        assert texts(fam.members[:0]) == []
 
     def test_reference_rejects_inconsistent_member(self):
         # The reference re-checks a free-standing member; a family's own members need no check.
