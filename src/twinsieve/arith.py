@@ -32,14 +32,20 @@ _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 PRIMALITY_LIMIT = 1 << 64
 
 
-def is_prime(n: int) -> bool:
+def small_gcd(n: int) -> int:
+    """gcd(n, the product of the primes to 211): the gcd is_prime and trial_factor start with, for a caller to take once and hand to both."""
+    return math.gcd(n, _SMALL_PRODUCT)
+
+
+def is_prime(n: int, g: int | None = None) -> bool:
     """Deterministic primality test for 0 <= n < 2**64.
 
     One gcd settles n with a prime factor to 211 and n below 223**2; only the rest reach Miller-Rabin.
+    g, when given, is small_gcd(n), taken by the caller, and stands for that gcd.
     """
     if n >= PRIMALITY_LIMIT:
         raise CapacityError(f"deterministic primality is limited to n < 2**64, got {n}")
-    if math.gcd(n, _SMALL_PRODUCT) != 1:
+    if (math.gcd(n, _SMALL_PRODUCT) if g is None else g) != 1:
         return n in _SMALL_PRIMES
     if n < 223 * 223:
         return n > 1
@@ -266,7 +272,7 @@ def _least_block(k: int) -> memoryview:
     return memoryview(_least_factors(k * LEAST_BLOCK, LEAST_BLOCK)).toreadonly()
 
 
-def smallest_prime_factor(n: int) -> int:
+def smallest_prime_factor(n: int, g: int | None = None) -> int:
     """Least prime dividing n >= 2 (returns n itself when n is prime).
 
     n = 6r -+ 1 with r < LEAST_CAP is one lookup in the least-factor table: 0.3-0.4 us
@@ -274,24 +280,27 @@ def smallest_prime_factor(n: int) -> int:
     with the product of the primes to 211, trial division by the rest below TRIAL_BOUND,
     Miller-Rabin, then Brent's rho on what is left, so memory stays constant for every
     n < 2**64.  Raises CapacityError for n >= 2**64 without a prime factor below the bound.
+    g, when given, is small_gcd(n), taken by the caller, and stands for that gcd.
     """
     if n < 2:
         raise DomainError(f"smallest_prime_factor needs n >= 2, got {n}")
     if n & 1 and n % 3 and n < _LEAST_TOP:
         k, i = divmod(n // 3 + 1, 2 * LEAST_BLOCK)  # n // 3 + 1 = 2r + s, for 6r - 1 (s = 0) and 6r + 1 (s = 1)
         return _least_block(k)[i] or n
-    return trial_factor(n) or rough_least_prime(n)
+    return trial_factor(n, TRIAL_BOUND, g) or rough_least_prime(n)
 
 
-def trial_factor(n: int, below: int = TRIAL_BOUND) -> int:
+def trial_factor(n: int, below: int = TRIAL_BOUND, g: int | None = None) -> int:
     """Least prime p < min(below, TRIAL_BOUND) dividing n >= 2, or 0 when none does.
 
     Returns n itself once p passes isqrt(n) with no divisor found: n is prime.
-    For n >= 223**2 and below > 223, one gcd names a factor to 211 or starts the scan at 223.
+    For n >= 223**2 and below > 223, one gcd names a factor to 211 or starts the scan at 223;
+    g, when given, is small_gcd(n), taken by the caller, and stands for that gcd.
     """
     primes = _small_primes()
     if n >= 223 * 223 and below > 223:
-        g = math.gcd(n, _SMALL_PRODUCT)
+        if g is None:
+            g = math.gcd(n, _SMALL_PRODUCT)
         if g != 1:
             for p in primes:  # returns by 211: g is a product of primes to 211
                 if g % p == 0:
@@ -310,7 +319,7 @@ def trial_factor(n: int, below: int = TRIAL_BOUND) -> int:
 
 def rough_least_prime(n: int) -> int:
     """Least prime factor of n > 1 whose prime factors all exceed TRIAL_BOUND: Miller-Rabin, then rho."""
-    if is_prime(n):
+    if is_prime(n, 1):  # no prime to 211 divides n
         return n
     root = math.isqrt(n)
     if root * root == n:

@@ -10,13 +10,14 @@ arith.LEAST_CAP = 2**22 both sides are read from the least-factor table, the
 engine's rank-space strike with each base prime's value in place of a flag:
 two smallest_prime_factor lookups, 3-4 us a call for m <= 300,000 against
 7-8 us on the scalar path, with at most eight 128 KB blocks cached.
-From the cap up, is_prime settles each side (one gcd with the product of the
-primes to 211, then deterministic Miller-Rabin) and a composite side's least
-factor comes from the same gcd, trial division by the primes from 223 to
-2**16, then Brent's rho on what is left, so classification runs in constant
-memory for every m with 6m + 1 < 2**64.  When both sides are composite, a
-trial factor a of 6m-1 leaves 6m+1 to trial division below a, and rho runs
-only when neither side has a factor below 2**16.
+From the cap up, each side takes one gcd with the product of the primes to
+211, which classify hands on: is_prime settles the side from it (then
+deterministic Miller-Rabin), and a composite side's least factor comes from
+the same gcd, trial division by the primes from 223 to 2**16, then Brent's
+rho on what is left, so classification runs in constant memory for every m
+with 6m + 1 < 2**64.  When both sides are composite, a trial factor a of 6m-1
+leaves 6m+1 to trial division below a, and rho runs only when neither side
+has a factor below 2**16.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .arith import (
     is_prime,
     nsix,
     rough_least_prime,
+    small_gcd,
     smallest_prime_factor,
     trial_factor,
 )
@@ -130,18 +132,19 @@ def classify(m: int) -> Classification:
             parent, composite_sides = a, (SIDE_MINUS,)
         else:
             parent, composite_sides = min(a, b), (SIDE_MINUS, SIDE_PLUS)
-    else:
-        minus_prime = is_prime(minus)
-        plus_prime = is_prime(plus)
+    else:  # one gcd against the primes to 211 per side, handed to is_prime and then to the factor search
+        g_minus, g_plus = small_gcd(minus), small_gcd(plus)
+        minus_prime = is_prime(minus, g_minus)
+        plus_prime = is_prime(plus, g_plus)
         if minus_prime and plus_prime:
             return Classification(m, TWIN_RANK)
         if minus_prime or plus_prime:
-            parent = smallest_prime_factor(plus if minus_prime else minus)
+            parent = smallest_prime_factor(plus, g_plus) if minus_prime else smallest_prime_factor(minus, g_minus)
             composite_sides = (SIDE_PLUS,) if minus_prime else (SIDE_MINUS,)
         else:
             composite_sides = (SIDE_MINUS, SIDE_PLUS)
-            a = trial_factor(minus)  # composite, so never minus itself
-            parent = trial_factor(plus, a or TRIAL_BOUND) or a
+            a = trial_factor(minus, TRIAL_BOUND, g_minus)  # composite, so never minus itself
+            parent = trial_factor(plus, a or TRIAL_BOUND, g_plus) or a
             if not parent:
                 parent = min(rough_least_prime(minus), rough_least_prime(plus))
 

@@ -28,8 +28,10 @@ EULER_GAMMA = 0.5772156649015329
 # 10^9 the rank-space least-factor table alone would be 0.67 GB.
 LEVEL_GUARD = 10**6
 # Largest levels legendre_pi2 and main_term accept, checked before the level is built.
-# legendre --level 23 (x = 37,182,005, 6,031,487 squarefree terms) peaks at 295 MB in
-# 2.4-3.6 s, 0.8 s of it in the oracle counts, which sieve the period once; level 29's
+# legendre --level 23 (x = 37,182,005, 6,031,487 squarefree terms) peaks at 102 MB in
+# 1.5-2.0 s on 2 vCPUs (295 MB in 2.0-2.7 s with its terms built level by level): 54 MB
+# of term records and 18 MB of tail primes, 0.4 s building the terms, 0.07 s summing
+# the floors and 1.1 s in the oracle counts, which sieve the period once; level 29's
 # x, 1,078,282,045, is 29 times larger.  main_term also sums one exact Fraction per
 # squarefree term: mainterm --level 19 (x = 1,616,527) takes 24 s at 86 MB, 12 s of it
 # in main_term (c2 aside), 9.5 s in the CLI's exact form_gap and 2.3 s in the decimal
@@ -169,35 +171,82 @@ def m_bound(p_next: int) -> int:
 
 # One squarefree term: n and nu, the number of prime factors of n, so mu(n) = (-1)**nu.
 TERM = np.dtype([("n", np.int64), ("nu", np.int8)])
+# Products squarefree_terms makes at a time, at most the keys per buffer it
+# writes them to.  A buffer is 4,000,000 bytes, under the 4 MiB from which
+# numpy asks for huge pages: those would round level 19's 2.2 MB of keys up to
+# 2 MB pages, 1.7 MB more at its peak.
+TERMS_CHUNK = 1 << 13
+_KEYS_BUFFER = 500_000
+# Records turned from keys or summed at a time, and (-2)**nu for every nu a key's four bits hold.
+_RECORDS_SLICE = 1 << 16
+_WEIGHTS = (-2) ** np.arange(16, dtype=np.int64)
 
 
 def squarefree_terms(tail_primes: np.ndarray, x: int) -> np.ndarray:
     """Every squarefree product n <= x of the ascending distinct tail_primes (n = 1 excluded), as TERM records ascending by n.
 
-    Built level by level: level nu holds the products of nu primes and the
-    index of each product's largest prime, and level nu + 1 extends each
-    product n by every later prime q <= x // n.  The callers pass
-    prime_array(p_j, x), the primes above the level, so no prime is checked
-    again here.
+    Built depth-first by _extend from n = 1, each chunk of at most TERMS_CHUNK
+    products extended before the next, so only the chunks on the current path
+    are held besides the keys.  Each product is written once, as the int64 key
+    n << 4 | nu, to buffers of _KEYS_BUFFER keys; x < 2**59 keeps n << 4 in
+    range and nu in four bits (a product of 15 distinct primes is at least
+    2*3*...*47 > 2**59).  The keys are sorted once in place and the records
+    filled from them.  The callers pass prime_array(p_j, x), the primes above
+    the level, so no prime is checked again here.
     """
     primes = np.asarray(tail_primes, dtype=np.int64)
-    last = np.arange(np.searchsorted(primes, x, side="right"))
-    n = primes[last]
-    levels = []
-    while n.size:
-        levels.append(n)
-        counts = np.maximum(np.searchsorted(primes, x // n, side="right") - last - 1, 0)
-        starts = np.cumsum(counts) - counts  # where each product's extensions begin in the next level
-        last = np.arange(starts[-1] + counts[-1]) + np.repeat(last + 1 - starts, counts)
-        n = np.repeat(n, counts) * primes[last]
-    nu = np.repeat(np.arange(1, len(levels) + 1, dtype=np.int8), [level.size for level in levels])
-    n = np.concatenate(levels or [n])
-    del levels  # n holds every product now: one copy, not two, through the sort
-    order = np.argsort(n)  # the n are distinct, so every sort kind gives this one order
-    terms = np.empty(n.size, dtype=TERM)
-    terms["n"] = n[order]
-    terms["nu"] = nu[order]
+    buffers, used = [np.empty(0, np.int64)], 0
+    for n, nu in _extend(primes, x, np.ones(1, np.int64), np.full(1, -1), 0):  # from n = 1, before every prime
+        if used + n.size > buffers[-1].size:
+            buffers[-1] = buffers[-1][:used]
+            buffers.append(np.empty(_KEYS_BUFFER, np.int64))
+            used = 0
+        out = np.left_shift(n, 4, out=buffers[-1][used : used + n.size])
+        np.bitwise_or(out, nu, out=out)
+        used += n.size
+    buffers[-1] = buffers[-1][:used]
+
+    # The records are filled over the sorted keys, back to front a slice at a
+    # time: record i takes bytes [9i, 9i + 9) of the block, which hold key i
+    # and later keys only, so each slice of keys is copied out before its
+    # records overwrite it, and the keys and the records share one block.
+    size = sum(b.size for b in buffers)
+    block = np.empty(size * TERM.itemsize, np.uint8)
+    keys = block[: 8 * size].view(np.int64)
+    while buffers:  # the last first, each freed once copied
+        b = buffers.pop()
+        keys[size - b.size : size] = b
+        size -= b.size
+    keys.sort()  # the n are distinct, so every sort kind gives this one order
+    terms = block.view(TERM)
+    for hi in range(keys.size, 0, -_RECORDS_SLICE):
+        lo = max(hi - _RECORDS_SLICE, 0)
+        part = keys[lo:hi].copy()
+        np.right_shift(part, 4, out=terms["n"][lo:hi])
+        np.bitwise_and(part, 15, out=terms["nu"][lo:hi], casting="unsafe")
     return terms
+
+
+def _extend(primes: np.ndarray, x: int, n: np.ndarray, last: np.ndarray, nu: int):
+    """Every product n * q * ... <= x of the products n of nu primes by later primes, depth-first.
+
+    primes[last] is each n's largest prime and x // n exceeds it (the walk
+    starts from n = 1 with last = -1).  Yields (products, nu + 1) chunks of at
+    most TERMS_CHUNK of the products n * q, each followed by its extensions.
+    """
+    counts = np.searchsorted(primes, x // n, side="right") - last - 1  # not negative: x // n > primes[last]
+    ends = np.cumsum(counts)
+    first = last + 1 - (ends - counts)  # the product at flat index i, of parent k, takes primes[first[k] + i]
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, TERMS_CHUNK):
+        i = np.arange(lo, min(lo + TERMS_CHUNK, total))
+        k = np.searchsorted(ends, i, side="right")
+        child_last = np.add(i, first[k], out=i)
+        q = primes[child_last]
+        children = n[k] * q
+        yield children, nu + 1
+        more = children <= x // (q + 1)  # the products that a later prime still extends
+        yield from _extend(primes, x, children[more], child_last[more], nu + 1)
 
 
 def _ie_floor_sum(terms: np.ndarray, x: int, workers: int = 1) -> int:
@@ -207,11 +256,17 @@ def _ie_floor_sum(terms: np.ndarray, x: int, workers: int = 1) -> int:
 
 
 def _ie_floor_chunk(args: tuple[int, np.ndarray]) -> int:
-    # One int64 sum per nu: each is below len(terms) * x (about 2.2e14 at
-    # level 23), and the (-2)**nu factor is applied to the Python int.
+    # One int64 sum per slice of records: each term (-2)**nu * (x // n) is at
+    # most x in magnitude, since n >= 2**nu, so a slice's sum is below
+    # _RECORDS_SLICE * x (2.4e12 at level 23, far below 2**63) and the slices
+    # add as Python ints.
     x, terms = args
-    n, nu = terms["n"], terms["nu"]
-    return sum((-2) ** v * int((x // n[nu == v]).sum()) for v in range(1, int(nu.max(initial=0)) + 1))
+    total = 0
+    for lo in range(0, terms.size, _RECORDS_SLICE):
+        part = terms[lo : lo + _RECORDS_SLICE]
+        floors = np.floor_divide(x, part["n"])
+        total += int(np.multiply(floors, _WEIGHTS[part["nu"]], out=floors).sum())
+    return total
 
 
 def _tree_sum(values: list, op):

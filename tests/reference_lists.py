@@ -77,6 +77,41 @@ def slow_squarefree_terms(tail_primes: list[int], x: int) -> list[tuple[int, int
     return out
 
 
+def level_squarefree_terms(tail_primes, x: int) -> np.ndarray:
+    """squarefree_terms' TERM records built level by level, as counting built them before it went depth-first.
+
+    Level nu holds the products of nu primes and the index of each product's
+    largest prime; level nu + 1 extends each product n by every later prime
+    q <= x // n.  All levels, their index arrays and the argsort order are held
+    at once.
+    """
+    from twinsieve.counting import TERM
+
+    primes = np.asarray(tail_primes, dtype=np.int64)
+    last = np.arange(np.searchsorted(primes, x, side="right"))
+    n = primes[last]
+    levels = []
+    while n.size:
+        levels.append(n)
+        counts = np.maximum(np.searchsorted(primes, x // n, side="right") - last - 1, 0)
+        starts = np.cumsum(counts) - counts
+        last = np.arange(starts[-1] + counts[-1]) + np.repeat(last + 1 - starts, counts)
+        n = np.repeat(n, counts) * primes[last]
+    nu = np.repeat(np.arange(1, len(levels) + 1, dtype=np.int8), [level.size for level in levels])
+    n = np.concatenate(levels or [n])
+    order = np.argsort(n)
+    terms = np.empty(n.size, dtype=TERM)
+    terms["n"] = n[order]
+    terms["nu"] = nu[order]
+    return terms
+
+
+def nu_floor_sum(terms: np.ndarray, x: int) -> int:
+    """sum mu(n) 2^nu(n) floor(x/n) over TERM records, one masked int64 sum per nu, as counting summed it before its slices."""
+    n, nu = terms["n"], terms["nu"]
+    return sum((-2) ** v * int((x // n[nu == v]).sum()) for v in range(1, int(nu.max(initial=0)) + 1))
+
+
 def slow_rm_sum(R0: int, x: int, terms: list[tuple[int, int]]) -> Fraction:
     """main_term's exact R_M_sum = R0 + sum mu(n) 2^nu(n) x/n over (n, nu) terms, added left to right."""
     return Fraction(R0) + sum((Fraction((-1) ** nu * 2**nu * x, n) for n, nu in terms), Fraction(0))

@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import importlib
 import inspect
 import math
+import random
 import time
 
 import numpy as np
@@ -168,9 +170,9 @@ class TestAgainstALeastFactorSieve:
         calls = []
 
         def spy(name):
-            def call(n):
+            def call(n, *handed):  # above the cap classify also hands on each side's small gcd
                 calls.append((name, n))
-                return getattr(arith, name)(n)
+                return getattr(arith, name)(n, *handed)
             return call
 
         for name in ("is_prime", "smallest_prime_factor"):
@@ -406,3 +408,26 @@ def rough_semiprime_sides(m: int) -> int:
 )
 def test_classify_matches_two_full_factorisations(m):
     assert classify(m) == slow_classify(m)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_side_takes_the_small_gcd_once_above_the_cap(monkeypatch, seed):
+    # From LEAST_CAP up, classify takes each side's gcd with the product of the
+    # primes to 211 once and hands it to is_prime and to the factor search.
+    rng = random.Random(seed)
+    ms = [LEAST_CAP, LEAST_CAP + 3, TOP_M, BALANCED_PLUS_M, rough_semiprime_sides(rng.randrange(10**12, 4 * 10**13))]
+    ms += [int(2 ** rng.uniform(22, math.log2(TOP_M))) for _ in range(40)]
+    both = [m for m in ms if not is_prime(6 * m - 1) and not is_prime(6 * m + 1)]
+    assert len(both) >= 10
+    gcd, taken = math.gcd, collections.Counter()
+
+    def spy(*args):
+        if arith._SMALL_PRODUCT in args:
+            taken.update(a for a in args if a != arith._SMALL_PRODUCT)
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", spy)
+    for m in ms:
+        taken.clear()
+        classify(m)
+        assert taken == {6 * m - 1: 1, 6 * m + 1: 1}, m

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 import operator
 import random
@@ -33,6 +34,8 @@ from twinsieve.progressions import residue_set
 
 from conftest import least_prime_factors
 from reference_lists import (
+    level_squarefree_terms,
+    nu_floor_sum,
     slow_c2_partial,
     slow_counts_fields,
     slow_prime_blocks,
@@ -515,6 +518,47 @@ class TestSquarefreeTerms:
         assert terms.dtype == counting.TERM
         assert len(terms) == len(want)
         assert terms.tolist() == want
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gens=st.sets(st.sampled_from(primes_between(1, 1000)), max_size=30).map(sorted),
+        cap=st.integers(0, 30_000),
+    )
+    @example(gens=[], cap=100)
+    @example(gens=[5, 7], cap=35)  # x = q * (q + 2): the product of the two primes is x itself
+    @example(gens=[2, 3, 5, 7, 11, 13, 17], cap=510_510)
+    @example(gens=[2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43], cap=10**6)
+    def test_every_chunk_buffer_and_depth_edge(self, chunk, gens, cap):
+        # Chunks of one to three products, buffers of two keys more and record
+        # slices of one record more: every edge between chunks, buffers, slices
+        # and depths is crossed somewhere.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "TERMS_CHUNK", chunk)
+            mp.setattr(counting, "_KEYS_BUFFER", chunk + 2)
+            mp.setattr(counting, "_RECORDS_SLICE", chunk + 1)
+            terms = counting.squarefree_terms(np.array(gens, dtype=np.int64), cap)
+            ie_sum = counting._ie_floor_sum(terms, cap)
+        want = slow_squarefree_terms(gens, cap)
+        assert terms.dtype == counting.TERM
+        assert terms.tolist() == want
+        assert ie_sum == sum((-2) ** nu * (cap // n) for n, nu in want)
+
+    # sha256 of squarefree_terms(prime_array(23, x), x).tobytes() at level 23, as
+    # the level-by-level builder gave it.
+    LEVEL_23_BYTES = "b6baad358ef12957c625ad7ed440fde188caacdfc40c0c149a7b55c9f07931fd"
+
+    @pytest.mark.parametrize("level", [7, 11, 13, 17, 19, 23])
+    def test_level_bytes_and_floor_sums_equal_the_level_by_level_references(self, level):
+        x = counts_row(level).x
+        primes = arith.prime_array(level, x)
+        terms = counting.squarefree_terms(primes, x)
+        if level < 23:
+            assert terms.tobytes() == level_squarefree_terms(primes, x).tobytes()
+        else:  # the level-by-level builder would peak near 250 MB here
+            assert hashlib.sha256(terms.tobytes()).hexdigest() == self.LEVEL_23_BYTES
+        want = nu_floor_sum(terms, x)
+        assert [counting._ie_floor_sum(terms, x, w) for w in (1, 2, 3, 4)] == [want] * 4
 
     @pytest.mark.parametrize("level", [7, 11, 13, 17, 19])
     def test_level_terms_and_floor_sums_equal_the_reference(self, level):
