@@ -28,14 +28,15 @@ EULER_GAMMA = 0.5772156649015329
 # 10^9 the rank-space least-factor table alone would be 0.67 GB.
 LEVEL_GUARD = 10**6
 # Largest levels legendre_pi2 and main_term accept, checked before the level is built.
-# legendre --level 23 (x = 37,182,005, 6,031,487 squarefree terms) peaks at 102 MB in
-# 1.5-2.0 s on 2 vCPUs (295 MB in 2.0-2.7 s with its terms built level by level): 54 MB
-# of term records and 18 MB of tail primes, 0.4 s building the terms, 0.07 s summing
-# the floors and 1.1 s in the oracle counts, which sieve the period once; level 29's
-# x, 1,078,282,045, is 29 times larger.  main_term also sums one exact Fraction per
-# squarefree term: mainterm --level 19 (x = 1,616,527) takes 24 s at 86 MB, 12 s of it
-# in main_term (c2 aside), 9.5 s in the CLI's exact form_gap and 2.3 s in the decimal
-# strings; level 23 would carry denominators of tens of millions of bits.
+# legendre --level 23 (x = 37,182,005) peaks at 68 MB in 1.0-1.7 s on 2 vCPUs, 74-78 MB with
+# --workers 2 (103 and 181 MB while all 6,031,487 squarefree terms were built): 18 MB of
+# tail primes and the 985,501 terms over those up to sqrt(x), 0.15 s for both, and the
+# oracle counts, which sieve the period once.  Level 29 would need its 30,570,181
+# small-prime terms streamed (0.5 GB with their keys) and its 0.44 GB of tail primes
+# counted block by block.  main_term also sums one exact Fraction per squarefree term:
+# mainterm --level 19 (x = 1,616,527) takes 26-30 s at 87 MB, 13.5 s of it in main_term
+# (c2 aside), 13 s in the CLI's exact form_gap and 2.8 s in the decimal strings; level 23
+# would carry denominators of tens of millions of bits.
 LEGENDRE_GUARD = 23
 MAINTERM_GUARD = 19
 # Largest prime cutoff of the truncated c2 product, the one tolerance 1e-10
@@ -171,13 +172,9 @@ def m_bound(p_next: int) -> int:
 
 # One squarefree term: n and nu, the number of prime factors of n, so mu(n) = (-1)**nu.
 TERM = np.dtype([("n", np.int64), ("nu", np.int8)])
-# Products squarefree_terms makes at a time, at most the keys per buffer it
-# writes them to.  A buffer is 4,000,000 bytes, under the 4 MiB from which
-# numpy asks for huge pages: those would round level 19's 2.2 MB of keys up to
-# 2 MB pages, 1.7 MB more at its peak.
+# Products squarefree_terms makes at a time.
 TERMS_CHUNK = 1 << 13
-_KEYS_BUFFER = 500_000
-# Records turned from keys or summed at a time, and (-2)**nu for every nu a key's four bits hold.
+# Records summed at a time, and (-2)**nu for every nu a key's four bits hold.
 _RECORDS_SLICE = 1 << 16
 _WEIGHTS = (-2) ** np.arange(16, dtype=np.int64)
 
@@ -186,44 +183,20 @@ def squarefree_terms(tail_primes: np.ndarray, x: int) -> np.ndarray:
     """Every squarefree product n <= x of the ascending distinct tail_primes (n = 1 excluded), as TERM records ascending by n.
 
     Built depth-first by _extend from n = 1, each chunk of at most TERMS_CHUNK
-    products extended before the next, so only the chunks on the current path
-    are held besides the keys.  Each product is written once, as the int64 key
-    n << 4 | nu, to buffers of _KEYS_BUFFER keys; x < 2**59 keeps n << 4 in
-    range and nu in four bits (a product of 15 distinct primes is at least
-    2*3*...*47 > 2**59).  The keys are sorted once in place and the records
-    filled from them.  The callers pass prime_array(p_j, x), the primes above
-    the level, so no prime is checked again here.
+    products extended before the next.  Each product is kept as the int64 key
+    n << 4 | nu; x < 2**59 keeps n << 4 in range and nu in four bits (a product
+    of 15 distinct primes is at least 2*3*...*47 > 2**59).  The keys are sorted
+    once in place and the records filled from them.  The largest builds are
+    legendre_pi2's 985,501 records at level 23, over the tail primes up to
+    sqrt(x), and main_term's 273,630 at level 19, over all of them.
     """
     primes = np.asarray(tail_primes, dtype=np.int64)
-    buffers, used = [np.empty(0, np.int64)], 0
-    for n, nu in _extend(primes, x, np.ones(1, np.int64), np.full(1, -1), 0):  # from n = 1, before every prime
-        if used + n.size > buffers[-1].size:
-            buffers[-1] = buffers[-1][:used]
-            buffers.append(np.empty(_KEYS_BUFFER, np.int64))
-            used = 0
-        out = np.left_shift(n, 4, out=buffers[-1][used : used + n.size])
-        np.bitwise_or(out, nu, out=out)
-        used += n.size
-    buffers[-1] = buffers[-1][:used]
-
-    # The records are filled over the sorted keys, back to front a slice at a
-    # time: record i takes bytes [9i, 9i + 9) of the block, which hold key i
-    # and later keys only, so each slice of keys is copied out before its
-    # records overwrite it, and the keys and the records share one block.
-    size = sum(b.size for b in buffers)
-    block = np.empty(size * TERM.itemsize, np.uint8)
-    keys = block[: 8 * size].view(np.int64)
-    while buffers:  # the last first, each freed once copied
-        b = buffers.pop()
-        keys[size - b.size : size] = b
-        size -= b.size
+    chunks = _extend(primes, x, np.ones(1, np.int64), np.full(1, -1), 0)  # from n = 1, before every prime
+    keys = np.concatenate([n << 4 | nu for n, nu in chunks] or [np.empty(0, np.int64)])
     keys.sort()  # the n are distinct, so every sort kind gives this one order
-    terms = block.view(TERM)
-    for hi in range(keys.size, 0, -_RECORDS_SLICE):
-        lo = max(hi - _RECORDS_SLICE, 0)
-        part = keys[lo:hi].copy()
-        np.right_shift(part, 4, out=terms["n"][lo:hi])
-        np.bitwise_and(part, 15, out=terms["nu"][lo:hi], casting="unsafe")
+    terms = np.empty(keys.size, TERM)
+    np.right_shift(keys, 4, out=terms["n"])
+    np.bitwise_and(keys, 15, out=terms["nu"], casting="unsafe")
     return terms
 
 
@@ -267,6 +240,30 @@ def _ie_floor_chunk(args: tuple[int, np.ndarray]) -> int:
         floors = np.floor_divide(x, part["n"])
         total += int(np.multiply(floors, _WEIGHTS[part["nu"]], out=floors).sum())
     return total
+
+
+def _ie_sum(tail_primes: np.ndarray, x: int, workers: int = 1) -> int:
+    """Sum of mu(n) * 2^nu(n) * floor(x/n) over the squarefree products 1 < n <= x of the ascending distinct tail_primes.
+
+    Split at t = isqrt(x) (Meissel-Lehmer): two primes above t multiply past x,
+    so n is a product s of the primes up to t, or s * l with one prime l > t,
+    and f(s * l) = -2 f(s) for f = (-2)**nu.  Only the terms s are built; the
+    s * l add up to -2 * sum f(s) * F(x // s) over s = 1 and s <= x // (t + 1), with
+    F(y) = sum_{t < l <= y} y // l = sum_{k <= y // (t+1)} k * (pi(y // k) - pi(max(y // (k+1), t)))
+    and pi counting the given primes only.  Each |f(s) * F(x // s)| <= x (2**nu(s) <= s,
+    and 1/l over the primes in (t, x] adds to under 1), so the int64 sum holds while x**1.5 < 2**63.
+    """
+    primes = np.asarray(tail_primes, dtype=np.int64)
+    t = math.isqrt(x)
+    terms = squarefree_terms(primes[: np.searchsorted(primes, t, side="right")], x)
+    first = _ie_floor_sum(terms, x, workers)
+    s = terms[terms["n"] <= x // (t + 1)]  # the s > 1 that a prime above t still extends
+    y, f = np.append(x, x // s["n"]), np.append(1, _WEIGHTS[s["nu"]])
+    ks = y // (t + 1)  # F(y) has y // (t + 1) steps k, none when y <= t
+    at = np.repeat(np.arange(y.size), ks)
+    k = np.arange(at.size) - np.repeat(np.cumsum(ks) - ks, ks) + 1  # 1..ks[i] for each y[i]
+    yk, pi = y[at], functools.partial(np.searchsorted, primes, side="right")
+    return first - 2 * int((f[at] * k * (pi(yk // k) - pi(np.maximum(yk // (k + 1), t)))).sum())
 
 
 def _tree_sum(values: list, op):
@@ -315,7 +312,7 @@ def legendre_pi2(
     check_level(p_j, "legendre_pi2", 7, LEGENDRE_GUARD)
     row = counts_row(p_j)
     x = row.x
-    ie_sum = _ie_floor_sum(squarefree_terms(prime_array(p_j, x), x), x, workers)
+    ie_sum = _ie_sum(prime_array(p_j, x), x, workers)
     estimate = row.R + ie_sum
 
     oracle_pi2 = pi2_exact(6 * x + 1, ceiling=ceiling) if 6 * x + 1 <= ceiling else None
@@ -363,7 +360,7 @@ def main_term(p_j: int) -> MainTermReport:
     terms = squarefree_terms(tail_primes, x)
     pairs = zip(terms["n"].tolist(), terms["nu"].tolist())
     rm_sum = _tree_sum([Fraction(R0)] + [Fraction((-2) ** nu * x, n) for n, nu in pairs], operator.add)
-    estimate = R0 + _ie_floor_sum(terms, x)
+    estimate = R0 + _ie_sum(tail_primes, x)
 
     # R0 * tail + M * (1 - tail), tail = prod_{p_j<q<=x} (q-2)/q, taken as M + (R0 - M) * tail.
     num, den, _ = _reduced_ratio(tail_primes)

@@ -230,12 +230,20 @@ class TestReducedRatio:
     """_reduced_ratio over any ascending primes >= 5: prod (q - 2) = num * g, prod q = den * g, num/den in lowest terms."""
 
     @staticmethod
-    def check(primes: np.ndarray):
+    def product(values: list[int]) -> int:
+        """The product of values by halves: a left fold would carry an ever larger product into every step."""
+        if len(values) <= 8:
+            return math.prod(values)
+        return TestReducedRatio.product(values[: len(values) // 2]) * TestReducedRatio.product(values[len(values) // 2 :])
+
+    @classmethod
+    def check(cls, primes: np.ndarray):
         num, den, g = counting._reduced_ratio(primes)
         values = primes.tolist()
-        assert num * g == math.prod(q - 2 for q in values)
-        assert den * g == math.prod(values)
-        reference = Fraction(math.prod(q - 2 for q in values), math.prod(values))
+        top, bottom = cls.product([q - 2 for q in values]), cls.product(values)
+        assert num * g == top
+        assert den * g == bottom
+        reference = Fraction(top, bottom)
         assert (num, den) == (reference.numerator, reference.denominator)
         return num, den, g
 
@@ -383,6 +391,14 @@ class TestLegendre:
         assert len(items) == workers == 3
         assert sorted(t for _, chunk in items for t in chunk.tolist()) == terms.tolist()
 
+    @pytest.mark.parametrize("level", [7, 11, 13, 17, 19, 23])
+    def test_ie_sum_equals_the_floor_sum_over_every_term_at_every_worker_count(self, level):
+        # The full-term floor sum that legendre_pi2 took before the split; the
+        # oracle counts are left out (ceiling 0), since only ie_sum is compared.
+        x = counts_row(level).x
+        want = counting._ie_floor_sum(counting.squarefree_terms(arith.prime_array(level, x), x), x)
+        assert [legendre_pi2(level, ceiling=0, workers=w).ie_sum for w in (1, 2, 3, 4)] == [want] * 4
+
     def test_workers_do_not_change_result(self):
         for level in (7, 11, 13):
             assert legendre_pi2(level, workers=4) == legendre_pi2(level)
@@ -392,6 +408,38 @@ class TestLegendre:
             legendre_pi2(5)
         with pytest.raises(DomainError):
             legendre_pi2(6)
+
+
+class TestIeSum:
+    """_ie_sum, split at isqrt(x), against the floor sum over every term of the recursive reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        primes=st.sets(st.sampled_from(primes_between(1, 3000)), max_size=40).map(sorted),
+        x=st.integers(0, 10**6),
+    )
+    @example(primes=[11, 13], x=15)  # level 7: isqrt(x) = 3 is below every prime
+    @example(primes=[], x=10**6)
+    @example(primes=[2, 3], x=0)
+    @example(primes=[2, 3], x=6)  # x = 2 * 3: the one term over both primes
+    @example(primes=[2, 3, 5, 7, 11, 13, 17], x=510_510)
+    @example(primes=[5, 7], x=49)  # isqrt(x) = 7 is itself a tail prime
+    @example(primes=[1999, 2003], x=1999 * 2003)  # isqrt(x) = 2000: a product of two primes on either side
+    def test_split_equals_the_floor_sum_over_every_term(self, primes, x):
+        want = sum((-2) ** nu * (x // n) for n, nu in slow_squarefree_terms(primes, x))
+        assert counting._ie_sum(np.array(primes, dtype=np.int64), x) == want
+
+    def test_only_the_terms_over_the_primes_to_isqrt_x_are_built(self, monkeypatch):
+        built, build = [], counting.squarefree_terms
+
+        def recorded(tail_primes, x):
+            built.append(tail_primes.tolist())
+            return build(tail_primes, x)
+
+        monkeypatch.setattr(counting, "squarefree_terms", recorded)
+        x = counts_row(13).x  # 4,957; isqrt(x) = 70
+        assert counting._ie_sum(arith.prime_array(13, x), x) == naive_ie_sum(13, x)
+        assert built == [primes_between(13, 70)]
 
 
 class TestMainTerm:
@@ -512,6 +560,7 @@ class TestSquarefreeTerms:
     @example(gens=[], cap=10**6)
     @example(gens=[1999], cap=1998)
     @example(gens=[2, 3, 5, 7, 11, 13, 17], cap=510_510)
+    @example(gens=[2, 3, 5, 7, 11, 13, 17, 19, 23], cap=223_092_870)  # nu up to 9, past three bits
     def test_records_equal_the_recursive_reference(self, gens, cap):
         terms = counting.squarefree_terms(np.array(gens, dtype=np.int64), cap)
         want = slow_squarefree_terms(gens, cap)
@@ -530,19 +579,18 @@ class TestSquarefreeTerms:
     @example(gens=[2, 3, 5, 7, 11, 13, 17], cap=510_510)
     @example(gens=[2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43], cap=10**6)
     def test_every_chunk_buffer_and_depth_edge(self, chunk, gens, cap):
-        # Chunks of one to three products, buffers of two keys more and record
-        # slices of one record more: every edge between chunks, buffers, slices
-        # and depths is crossed somewhere.
+        # Chunks of one to three products and summed slices of one record more:
+        # every edge between chunks, slices and depths is crossed somewhere.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(counting, "TERMS_CHUNK", chunk)
-            mp.setattr(counting, "_KEYS_BUFFER", chunk + 2)
             mp.setattr(counting, "_RECORDS_SLICE", chunk + 1)
             terms = counting.squarefree_terms(np.array(gens, dtype=np.int64), cap)
             ie_sum = counting._ie_floor_sum(terms, cap)
+            split = counting._ie_sum(np.array(gens, dtype=np.int64), cap)
         want = slow_squarefree_terms(gens, cap)
         assert terms.dtype == counting.TERM
         assert terms.tolist() == want
-        assert ie_sum == sum((-2) ** nu * (cap // n) for n, nu in want)
+        assert ie_sum == split == sum((-2) ** nu * (cap // n) for n, nu in want)
 
     # sha256 of squarefree_terms(prime_array(23, x), x).tobytes() at level 23, as
     # the level-by-level builder gave it.
