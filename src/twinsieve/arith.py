@@ -77,6 +77,7 @@ def is_prime(n: int, g: int | None = None) -> bool:
 # stands for 6r - 1 (s = 0) or 6r + 1 (s = 1).  The oracle keeps its own sieve.
 SPAN = 1 << 22
 RANK_PERIOD = 5 * 7 * 11 * 13 * 17
+_WHEEL_PRIMES = np.array([5, 7, 11, 13, 17])  # the primes of the rank wheel, whose product is RANK_PERIOD
 
 
 def _strike(out: np.ndarray, r_lo: int, q: np.ndarray, first, merged: bool = False) -> np.ndarray:
@@ -98,27 +99,34 @@ def _strike(out: np.ndarray, r_lo: int, q: np.ndarray, first, merged: bool = Fal
 
 @functools.cache
 def _rank_wheel() -> np.ndarray:
-    """Two turns of the rank wheel: flags set where a prime 5..17 divides the number, a period of RANK_PERIOD ranks."""
-    return _strike(np.zeros(4 * RANK_PERIOD, dtype=bool), 0, np.array([5, 7, 11, 13, 17]), 0)
+    """One turn of the rank wheel, 2 * RANK_PERIOD interleaved flags: set where a prime 5..17 divides the side, rank 0 on."""
+    return _strike(np.zeros(2 * RANK_PERIOD, dtype=bool), 0, _WHEEL_PRIMES, 0)
 
 
 def _composite_flags(r_lo: int, size: int, base: np.ndarray) -> np.ndarray:
     """Interleaved flags over the size ranks from r_lo, set where the side 6r -+ 1 is composite; rank 0's -1 and 1 stay clear.
 
-    The flags double one period of the rank wheel, so 5..17 and their
-    multiples come set, and 5..17 themselves are cleared in the window from
-    rank 0.  base holds ascending primes from 19 up to at least the root of
-    the window's last side; those up to it strike from their first class
-    member at least q*q.
+    A window of at least RANK_PERIOD ranks starts as one turn of the rank
+    wheel, copied in two pieces from the phase r_lo % RANK_PERIOD and then
+    doubled, so 5..17 and their multiples come set; 5..17 themselves are
+    cleared in the window from rank 0.  A shorter window never builds the
+    wheel: it starts clear and 5..17 strike it as the base primes do.  base
+    holds ascending primes from 19 up to at least the root of the window's
+    last side; those up to it strike from their first class member at least q*q.
     """
-    flags, filled = np.empty(2 * size, dtype=bool), min(2 * size, 2 * RANK_PERIOD)
-    flags[:filled] = _rank_wheel()[2 * (r_lo % RANK_PERIOD) :][:filled]
-    while filled < flags.size:
-        flags[filled : 2 * filled] = flags[: flags.size - filled][:filled]
-        filled *= 2
-    if r_lo == 0:
-        flags[2:7] = False  # 5..17 themselves
     q = base[: np.searchsorted(base, math.isqrt(6 * (r_lo + size) - 5), side="right")]
+    if size < RANK_PERIOD:
+        flags, q = np.zeros(2 * size, dtype=bool), np.concatenate([_WHEEL_PRIMES, q])
+    else:
+        flags, wheel, phase = np.empty(2 * size, dtype=bool), _rank_wheel(), 2 * (r_lo % RANK_PERIOD)
+        flags[: wheel.size - phase] = wheel[phase:]
+        flags[wheel.size - phase : wheel.size] = wheel[:phase]
+        filled = wheel.size
+        while filled < flags.size:
+            flags[filled : 2 * filled] = flags[: flags.size - filled][:filled]
+            filled *= 2
+        if r_lo == 0:
+            flags[2:7] = False  # 5..17 themselves
     return _strike(flags, r_lo, q, np.maximum((q * q - 1) // 6, r_lo))  # q*q = 6r + 1 at r = (q*q - 1)/6
 
 
@@ -135,6 +143,8 @@ def odd_prime_blocks(cutoff: int, start: int = 3):
     exactly the tail of the stream from 3.  A block is the composite flags
     over the ranks (lo+1)//6 .. (hi+1)//6, the base primes from the stream
     itself, its clear flags turned into primes.  Block 0 puts 3 in front.
+    The stream keeps nothing of a block past its yield; a consumer that keeps
+    a block, or arrays made from it, past the next yield holds two blocks.
     """
     if start < 3 or (start - 3) % SPAN:
         raise DomainError(f"odd_prime_blocks starts at a block edge 3 + k*{SPAN}, got {start}")

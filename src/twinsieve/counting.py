@@ -417,12 +417,20 @@ def _c2_partial(cutoff: int) -> float:
 
 
 def _c2_block_sums(run: tuple[int, int]) -> list[float]:
-    """One pairwise sum of log(1 - 1/(p-1)^2) per block of odd_prime_blocks(hi, lo), for run = (hi, lo)."""
+    """One pairwise sum of log(1 - 1/(p-1)^2) per block of odd_prime_blocks(hi, lo), for run = (hi, lo).
+
+    Each block's float column d is freed before the next block is sieved, so
+    only the primes of the block just summed stay alive beside the next one's
+    flags and primes.  The primes are kept: freeing them too returns their
+    pages, which the next block faults in again (a serial 30-block loop took
+    0.36 s against 0.25 s with d alone freed), and lowers no traced peak.
+    """
     hi, lo = run
     sums = []
     for block in odd_prime_blocks(hi, lo):
         d = np.subtract(block, 1.0, dtype=np.float64)  # log1p(-1.0 / (p - 1.0)**2) in one buffer: the same bits
         sums.append(float(np.log1p(np.divide(-1.0, np.square(d, out=d), out=d), out=d).sum()))
+        del d
     return sums
 
 

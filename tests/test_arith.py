@@ -202,6 +202,38 @@ class TestPrimeCache:
             assert len(primes_between(0, hi)) == int(np.count_nonzero(~sieve_segment(0, hi + 1)))
 
 
+P = arith.RANK_PERIOD
+WINDOW_SIZES = [P - 1, P, P + 1, 2 * P + 1, arith.SPAN // 6 + 1]
+WINDOW_STARTS = [0, P - 1, P, P + 1]  # rank 0, and the phases P - 1, 0 and 1 of the wheel
+
+
+class TestCompositeFlags:
+    """_composite_flags against the oracle's sieve, either side of one turn of the rank wheel."""
+
+    @pytest.fixture(scope="class")
+    def composite(self):
+        return sieve_segment(0, 6 * (max(WINDOW_STARTS) + max(WINDOW_SIZES)) + 2)
+
+    @pytest.mark.parametrize("r_lo", WINDOW_STARTS)
+    @pytest.mark.parametrize("size", WINDOW_SIZES)
+    def test_window_equals_the_oracle(self, composite, r_lo, size):
+        base = arith._sieving_primes(math.isqrt(6 * (r_lo + size) + 1))
+        sides = (6 * np.arange(r_lo, r_lo + size)[:, None] + [-1, 1]).ravel()  # entry 2(r - r_lo) + s
+        want = composite[np.maximum(sides, 0)]
+        if r_lo == 0:
+            want[:2] = False  # rank 0's -1 and 1 stay clear
+        assert np.array_equal(arith._composite_flags(r_lo, size, base), want)
+
+    def test_a_window_shorter_than_one_period_builds_no_wheel(self):
+        arith._rank_wheel.cache_clear()
+        arith._composite_flags(P, P - 1, arith._sieving_primes(math.isqrt(12 * P)))
+        list(arith.odd_prime_blocks(1 << 16))  # the 2**16 prime cache
+        assert arith._rank_wheel.cache_info().currsize == 0
+        arith._composite_flags(P, P, arith._sieving_primes(math.isqrt(12 * P)))
+        assert arith._rank_wheel.cache_info().currsize == 1
+        assert arith._rank_wheel().size == 2 * P  # one turn
+
+
 class TestNearestInt:
     @pytest.mark.parametrize(
         "x,expect",

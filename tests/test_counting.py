@@ -669,7 +669,8 @@ class TestC2PrimeStream:
     @pytest.mark.parametrize("lo", [3, 3 + arith.SPAN])
     def test_blocks_either_side_of_one_wheel_period(self, lo, odd):
         # One turn of the rank wheel is 6 * RANK_PERIOD numbers, 3 * RANK_PERIOD odd ones.  A last block of
-        # fewer is one cut copy of the wheel, one of more is doubled; together the cutoffs run one rank either side.
+        # fewer is struck by 5..17 without the wheel, one of more starts as its copy; together the cutoffs run
+        # one rank either side.
         for cutoff in range(lo + 2 * odd - 4, lo + 2 * odd + 4):
             got, want = list(arith.odd_prime_blocks(cutoff)), list(slow_prime_blocks(cutoff))
             assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want)), cutoff
@@ -698,6 +699,27 @@ class TestC2PrimeStream:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    def test_c2_sums_keep_one_block_beside_the_next(self):
+        # At the 1e-7 cutoff (two blocks, summed in-process) the primes of the block just summed may stay alive
+        # beside its float column, or beside the next block's flags and primes, never beside both; 128 KiB covers
+        # the ufunc's cast buffer (8,192 float64) and small objects.  Measured: 4,807,168 bytes against a bound of
+        # 4,866,208; with the float column alive while the next block is sieved, 6,841,481.
+        cutoff = int(2.0 / (3.0 * 1e-7)) + 7
+        arith._rank_wheel()  # cached for the life of the process, so it is built before tracing
+        blocks = list(arith.odd_prime_blocks(cutoff))
+        assert len(blocks) == 2
+        lo, hi = 3 + arith.SPAN, cutoff + 1
+        flags = 2 * ((hi + 1) // 6 - (lo + 1) // 6 + 1)  # block 1's flags, two per rank
+        bound = blocks[0].nbytes + max(blocks[0].nbytes, flags + blocks[1].nbytes) + (1 << 17)
+        del blocks
+        tracemalloc.start()
+        try:
+            counting._c2_partial.__wrapped__(cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-6, 1e-7])
     def test_c2_bits_equal_the_reference(self, tol):
