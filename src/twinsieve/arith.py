@@ -168,24 +168,30 @@ def odd_prime_blocks(cutoff: int, start: int = 3):
 TWIN_BLOCK = SPAN // 6  # ranks per window of twin_ranks, about SPAN numbers
 
 
-def twin_ranks(limit: int) -> np.ndarray:
-    """All twin ranks 1 <= m <= limit, ascending, as one int64 array grown in place.
+def twin_ranks(limit: int, dtype=np.int64) -> np.ndarray:
+    """All twin ranks 1 <= m <= limit, ascending, as one array grown in place.
 
     Each window of TWIN_BLOCK ranks, from rank 0, is one _composite_flags
     strike; a rank is a twin rank where both its flags are clear, that is
-    where the pair of flags read as one uint16 is 0.
+    where the pair of flags read as one uint16 is 0.  dtype is int64, in which
+    arithmetic such as 6*m + 1 cannot wrap, or any integer dtype that holds
+    limit: the CLI asks for uint32, half the bytes, since the oracle's guard
+    keeps its ranks below 2**32.
     """
     if limit < 0:
         raise DomainError(f"twin_ranks needs limit >= 0, got {limit}")
+    if limit > np.iinfo(dtype).max:
+        raise DomainError(f"twin_ranks up to {limit} does not fit {np.dtype(dtype).name}")
     base = _sieving_primes(math.isqrt(6 * limit + 1))
-    ranks = np.empty(0, dtype=np.int64)
+    ranks = np.empty(0, dtype=dtype)
     for r_lo in range(0, limit + 1, TWIN_BLOCK):
         flags = _composite_flags(r_lo, min(TWIN_BLOCK, limit + 1 - r_lo), base)
         if r_lo == 0:
             flags[:2] = True  # rank 0: -1 and 1 are no twin pair
         hits, count = np.flatnonzero(flags.view(np.uint16) == 0), ranks.size
+        del flags  # before the next window is struck, so two windows are never held
         ranks.resize(count + hits.size, refcheck=False)  # realloc: grows by remapping, not by a second copy
-        np.add(hits, r_lo, out=ranks[count:])
+        np.add(hits, r_lo, out=ranks[count:], casting="unsafe")  # every rank is at most limit, which dtype holds
     return ranks
 
 

@@ -11,11 +11,12 @@ None empty.  The JSON writer gives the bytes the json module writes with
 sorted keys and indent=2, without building the envelope first: a list goes
 out a batch at a time, each batch one join, and a list of flat records
 (_Records, given by its columns) fills one template per object.  A list
-payload may be a numpy column or record array: a batch of a 1-D int64 column
-becomes its text in numpy (_int64_text), a batch of any other one Python
-values.  A column may also be made a batch at a time (_Made: family's signs
-and nested forms), and a batch of rows then holds no more than _TEXT
-characters of made text.  The pieces go
+payload may be a numpy column or record array: a batch of a 1-D integer
+column that int64 holds becomes its text in numpy (_int64_text), a batch of
+any other one Python values.  A column may also be made a batch at a time
+(_Made: family's signs and nested forms), and a batch of rows then holds no
+more than _TEXT characters of made text.  A batch is at most _BATCH rows, so
+its transient texts stay small beside the payload.  The pieces go
 to stdout as they are made, or to a temp file that replaces --out only once
 it is complete.
 Identical argv produces byte-identical output, except for bench whose payload
@@ -150,7 +151,7 @@ class _Made:
     width: int
 
 
-_BATCH = 1 << 14  # list elements per written piece
+_BATCH = 1 << 12  # list elements per written piece
 _TEXT = 1 << 18  # characters of made values per written piece, at most
 
 
@@ -160,13 +161,13 @@ def _slices(array: np.ndarray, size: int):
 
 
 def _batches(items: Iterable, size: int | None = None):
-    """Batches of up to size (default _BATCH) items: a _Made column's values, made a slice at a time; a 1-D int64 array's slices as they are, for _int64_text; any other numpy array's slices as Python values, a slice at a time; lists otherwise."""
+    """Batches of up to size (default _BATCH) items: a _Made column's values, made a slice at a time; a 1-D integer array's slices as int64, for _int64_text, when int64 holds its dtype; any other numpy array's slices as Python values, a slice at a time; lists otherwise."""
     size = size or _BATCH
     if isinstance(items, _Made):
         yield from map(items.make, _slices(items.source, size))
     elif isinstance(items, np.ndarray):
-        int64 = items.ndim == 1 and items.dtype == np.int64
-        yield from _slices(items, size) if int64 else (piece.tolist() for piece in _slices(items, size))
+        ints = items.ndim == 1 and items.dtype.kind in "iu" and np.can_cast(items.dtype, np.int64)
+        yield from (piece.astype(np.int64, copy=False) if ints else piece.tolist() for piece in _slices(items, size))
     else:
         it = iter(items)
         while batch := list(islice(it, size)):
@@ -189,7 +190,7 @@ def _int64_text(values: np.ndarray, sep: str, quote: str = '"') -> str:
     magnitude has digits (repeated division by 10 of the uint64 magnitudes, so
     -2**63 is exact) and the closing quote.  Where some row leaves a sign or a
     leading-zero slot unused, one boolean compaction drops those slots;
-    otherwise the rows are the text.  On sorted batches of 16,384 values it is
+    otherwise the rows are the text.  On sorted batches of _BATCH values it is
     several times faster than "%d" mapped over .tolist().
     """
     mag = values.astype(np.uint64)
@@ -373,7 +374,7 @@ def _cmd_classify(args):
 
 def _cmd_twins(args):
     _check_extent(6 * args.limit + 1, args.ceiling, f"6*{args.limit}+1")  # the oracle's bounds, kept
-    ranks = twin_ranks(args.limit)
+    ranks = twin_ranks(args.limit, np.uint32)  # the oracle's guard keeps 6*limit + 1 within 10**10
     results = {"limit": args.limit, "ranks": ranks, "count": len(ranks)}
     return results, lambda: (["rank"], [ranks])
 
@@ -415,15 +416,19 @@ def _cmd_remnants(args):
 _KINDS = np.array(["twin_rank", "intruder", "front_twin_rank"], dtype=object)
 
 
-def _remnant_columns(rep) -> list[np.ndarray]:
-    """The value, kind and parent columns; intruders are remnants, so a searchsorted puts each parent in place."""
-    parent = np.zeros(len(rep.remnants), dtype=rep.intruders["parent"].dtype)  # 0: no parent
+def _remnant_columns(rep) -> list:
+    """The value, kind and parent columns; intruders are remnants, so a searchsorted puts each parent in place.
+
+    kind and parent are made a batch at a time from an int8 and an unsigned column, 0 for no parent:
+    as columns of objects they would be 22 MB at bound 10^7.
+    """
+    parent = np.zeros(len(rep.remnants), dtype=rep.intruders["parent"].dtype)
     parent[np.searchsorted(rep.remnants, rep.intruders["value"])] = rep.intruders["parent"]
     kind = (parent != 0).astype(np.int8)
     kind[: len(rep.front_twin_ranks)] = 2  # the front holds twin ranks only
-    # One int object per parent value, not per row: 1.1 M intruders at bound 10^7 would be 40 MB of ints.
-    cells = np.array([None, *range(1, int(parent.max(initial=0)) + 1)], dtype=object)
-    return [rep.remnants, _KINDS[kind], cells[parent]]
+    kinds = _Made(kind, lambda k: _KINDS[k].tolist(), max(map(len, _KINDS)))
+    parents = _Made(parent, lambda p: [v or None for v in p.tolist()], len(str(int(parent.max(initial=0)))))
+    return [rep.remnants, kinds, parents]
 
 
 def _cmd_family(args):

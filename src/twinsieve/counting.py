@@ -40,9 +40,10 @@ LEVEL_GUARD = 10**6
 LEGENDRE_GUARD = 23
 MAINTERM_GUARD = 19
 # Largest prime cutoff of the truncated c2 product, the one tolerance 1e-10
-# needs: c2 --tol 1e-10 takes 13.6-17.6 s at 33 MB on a 2-core host, its blocks
-# split over both cores (17.0 s in one process), and each tenfold tightening
-# costs more than tenfold (1e-12 would take hours).
+# needs: c2 --tol 1e-10 takes 12.5-19.3 s at 32 MB on a 2-core host (single
+# runs on different days), its blocks split over both cores (17.0 s in one
+# process when first measured), and each tenfold tightening costs more than
+# tenfold (1e-12 would take hours).
 C2_GUARD = 6_666_666_673
 
 

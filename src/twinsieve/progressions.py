@@ -30,10 +30,12 @@ MATERIALIZE_GUARD = 10**8
 RESIDUE_GUARD = 23
 # Ranks per strike in residue_set: the constants are preallocated, so its peak
 # is them and one chunk (a bool chunk and its survivors' int64 offsets).
-RESIDUE_CHUNK = 1 << 20
+RESIDUE_CHUNK = 1 << 18
 # Largest bound remnants_below accepts: remnants --level 61 --bound 10^7 takes
-# 2.5-3.6 s at 99 MB on a 2-vCPU host, its 98.7 MB envelope written in batches
-# from the report's int64 columns (4.3 s at 298 MB when they were tuples).
+# 1.8-2.1 s at 70 MB on a 2-vCPU host (72 MB with --emit csv), its 98.7 MB
+# envelope written in batches from the report's int64 columns (100 MB while
+# three masks sat beside the least parents, 4.3 s at 298 MB when the columns
+# were tuples).
 REMNANTS_GUARD = 10**7
 
 
@@ -140,6 +142,7 @@ def remnants_below(p_sieve: int, bound: int) -> RemnantReport:
     The kernel runs with the primes up to max(p, sqrt(6*bound - 5)), which
     covers the least prime factor of every composite side, so a rank's least
     parent is classify's parent: above p for an intruder, 0 for a twin rank.
+    One mask over the least parents, less one in place, picks the remnants.
     """
     check_level(p_sieve)
     if bound < 1:
@@ -152,11 +155,14 @@ def remnants_below(p_sieve: int, bound: int) -> RemnantReport:
     _strike(lp, 1, primes, primes - (primes + 1) // 6, merged=True)  # from q - N(q/6), the least n = 1 value
     if bound > 1 and (classify(bound - 1).parent or 0) != lp[-1]:  # spot-check where the prime bound is tightest
         raise RuntimeError(f"least parent of {bound - 1} disagrees with classify")
-    intruder = lp > p_sieve
-    remnants = np.flatnonzero(intruder | (lp == 0)) + 1
-    hits = np.flatnonzero(intruder)
-    intruders = np.empty(hits.size, dtype=[("value", np.int64), ("parent", lp.dtype)])
-    intruders["value"], intruders["parent"] = hits + 1, lp[hits]
+    lp -= 1  # a twin rank's 0 wraps to the dtype's top, which is above p_sieve and no prime: 255, 2**16 - 1, 2**32 - 1
+    remnants = np.flatnonzero(lp >= p_sieve)  # parent above p_sieve, or none
+    parents, top = lp[remnants], np.iinfo(lp.dtype).max
+    del lp  # the remnants' parents are all that is read of it
+    remnants += 1
+    intruder = parents != top
+    intruders = np.empty(np.count_nonzero(intruder), dtype=[("value", np.int64), ("parent", parents.dtype)])
+    intruders["value"], intruders["parent"] = remnants[intruder], parents[intruder] + 1
     return RemnantReport(
         p=p_sieve,
         bound=bound,

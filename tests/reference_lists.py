@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from twinsieve.arith import is_prime, nsix, rough_least_prime, trial_factor
+from twinsieve.arith import is_prime, nsix, primes_between, rough_least_prime, trial_factor
 from twinsieve.classify import (
     NON_RANK,
     SIDE_MINUS,
@@ -18,6 +18,7 @@ from twinsieve.classify import (
     SIGN_PLUS,
     TWIN_RANK,
     Classification,
+    classify,
 )
 from twinsieve.errors import DomainError
 from twinsieve.oracle import sieve_segment
@@ -49,6 +50,22 @@ def slow_c2_partial(cutoff: int) -> float:
         ps = block.astype(np.float64)
         log_sum += float(np.log1p(-1.0 / ((ps - 1.0) ** 2)).sum())
     return math.exp(log_sum)
+
+
+def three_mask_remnants(p: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """remnants_below's (remnants, intruders) by three masks over the least parents, each parent from classify.
+
+    The parents' dtype is that of remnants_below: the least unsigned one that
+    holds the largest prime up to max(p, sqrt(6*bound - 5)).
+    """
+    top = max(primes_between(4, max(p, math.isqrt(6 * (bound - 1) + 1))))
+    lp = np.array([classify(v).parent or 0 for v in range(1, bound)], dtype=np.min_scalar_type(top))
+    intruder = lp > p
+    remnants = np.flatnonzero(intruder | (lp == 0)) + 1
+    hits = np.flatnonzero(intruder)
+    intruders = np.empty(hits.size, dtype=[("value", np.int64), ("parent", lp.dtype)])
+    intruders["value"], intruders["parent"] = hits + 1, lp[hits]
+    return remnants, intruders
 
 
 def slow_counts_fields(p: int) -> tuple:

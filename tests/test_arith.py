@@ -447,17 +447,30 @@ class TestTwinRanks:
             arith.twin_ranks(-1)
 
     def test_twenty_million_held_once(self):
-        # 517,359 ranks (4.1 MB) from 29 windows, each of which leaves 1.4 MB
-        # of flags and its hits while the array grows in place.
-        tracemalloc.start()
-        try:
-            ranks = arith.twin_ranks(20_000_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ranks.size == 517_359 and ranks.flags.owndata
-        assert peak < ranks.nbytes + (3 << 20), (peak, ranks.nbytes)
-        assert np.array_equal(ranks, twin_ranks_up_to(20_000_000).ranks)
+        # 517,359 ranks (4.1 MB of int64, 2.1 MB of uint32) from 29 windows, each of which
+        # holds 1.4 MB of flags, their 0.7 MB compare mask and its hits while the array grows
+        # in place, and frees them before the next window is struck.
+        want = twin_ranks_up_to(20_000_000).ranks
+        for dtype in (np.int64, np.uint32):
+            tracemalloc.start()
+            try:
+                ranks = arith.twin_ranks(20_000_000, dtype)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ranks.size == 517_359 and ranks.dtype == dtype and ranks.flags.owndata
+            assert peak < ranks.nbytes + 3 * arith.TWIN_BLOCK + (512 << 10), (dtype, peak, ranks.nbytes)
+            assert np.array_equal(ranks, want)
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, *EDGES[:3]])
+    def test_uint32_ranks_equal_the_int64_ranks(self, limit):
+        ranks = arith.twin_ranks(limit, np.uint32)
+        assert ranks.dtype == np.uint32 and np.array_equal(ranks, arith.twin_ranks(limit))
+
+    def test_a_dtype_must_hold_the_limit(self):
+        assert arith.twin_ranks(255, np.uint8).tolist() == arith.twin_ranks(255).tolist()
+        with pytest.raises(DomainError, match="twin_ranks up to 256 does not fit uint8"):
+            arith.twin_ranks(256, np.uint8)
 
 
 class TestLeastFactorTable:

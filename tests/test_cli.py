@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twinsieve import __version__
-from twinsieve import cli
+from twinsieve import arith, cli
 from twinsieve.arith import primes_between
 from twinsieve.cli import main
 from twinsieve.oracle import twin_ranks_up_to
@@ -515,6 +515,12 @@ INT64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), -(2**63) +
 COLUMN_RECORD = np.dtype([("value", np.int64), ("parent", np.uint16), ("sign", "U1")])
 
 
+def integers_of(dtype):
+    """Integers that dtype holds, its extremes and those around zero drawn often."""
+    info = np.iinfo(dtype)
+    return st.integers(int(info.min), int(info.max)) | st.sampled_from(sorted({int(info.min), int(info.max), 0, 1, 9, 10}))
+
+
 def reference_csv(header, rows) -> str:
     return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
@@ -526,10 +532,10 @@ class TestColumnWriter:
         keys = records.dtype.names
         values = [row[0] for row in rows]
         column = records[keys[0]]
-        for i, key in enumerate(keys[:2]):  # an int64 column's slices stay arrays; any other column becomes Python ints
-            kept = records[key].dtype == np.int64
+        for i, key in enumerate(keys[:2]):  # an integer column's slices become int64 arrays; any other column Python ints
+            kept = records[key].dtype.kind in "iu"
             batches = list(cli._batches(records[key]))
-            assert all(isinstance(batch, np.ndarray) == kept for batch in batches)
+            assert all(batch.dtype == np.int64 if kept else isinstance(batch, list) for batch in batches)
             cells = [v for batch in batches for v in (batch.tolist() if kept else batch)]
             assert cells == [row[i] for row in rows] and all(type(v) is int for v in cells)
         assert "".join(cli._json_pieces({"c": column})) == reference_dumps({"c": values})
@@ -543,6 +549,22 @@ class TestColumnWriter:
     def test_bytes_equal_those_of_the_lists(self, rows, batch):
         with written_in_batches_of(batch):
             self.check(np.array(rows, dtype=COLUMN_RECORD), rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]).flatmap(
+        lambda dtype: st.tuples(st.just(dtype), st.lists(integers_of(dtype), max_size=12))), st.integers(1, 4))
+    def test_integer_columns_of_every_width_write_their_lists(self, column, batch):
+        # columns that int64 holds are cast a batch at a time for _int64_text; uint64 stays on the .tolist() path
+        dtype, values = column
+        array = np.array(values, dtype=dtype)
+        records = np.zeros(len(values), dtype=[("a", dtype), ("pad", np.int64)])  # a strided column, as a record's field
+        records["a"] = array
+        with written_in_batches_of(batch):
+            assert "".join(cli._json_pieces({"c": array})) == reference_dumps({"c": values})
+            written = "".join(cli._json_pieces({"r": cli._Records(("a",), [records["a"]])}))
+            assert written == reference_dumps({"r": [{"a": v} for v in values]})
+            assert "".join(cli._csv_pieces(["v"], [array])) == reference_csv(["v"], [[v] for v in values])
+            assert "".join(cli._csv_pieces(["a"], [records["a"]])) == reference_csv(["a"], [[v] for v in values])
 
     def test_empty(self):
         self.check(np.empty(0, dtype=COLUMN_RECORD), [])
@@ -608,7 +630,8 @@ class TestInt64Text:
     def test_drawn_values(self, values, sep, quote):
         assert cli._int64_text(np.array(values, dtype=np.int64), sep, quote) == self.reference(values, sep, quote)
 
-    @pytest.mark.parametrize("size", [cli._BATCH - 1, cli._BATCH, cli._BATCH + 1, 2 * cli._BATCH + 1])
+    # several batches each, the last one a value short of full, full, or of one value
+    @pytest.mark.parametrize("size", [4 * cli._BATCH - 1, 4 * cli._BATCH, 4 * cli._BATCH + 1, 8 * cli._BATCH + 1])
     def test_lists_around_a_batch(self, size):
         rng = np.random.default_rng(size)
         for values in (np.arange(size, dtype=np.int64) * 7919 - 10**6,  # ascending, across digit counts and zero
@@ -637,6 +660,16 @@ class TestInt64Text:
         code, out, _ = run_cli(capsys, "twins", "--limit", str(limit), "--emit", "csv")
         assert code == 0
         assert out == reference_csv(["rank"], [[m] for m in ranks])
+
+    @pytest.mark.parametrize("limit", [0, 1, 2] + [k * arith.TWIN_BLOCK + d for k in (1, 2) for d in (-1, 0, 1)])
+    def test_twins_bytes_equal_the_writer_fed_the_int64_ranks(self, capsys, limit):
+        # twins holds its ranks as uint32; the bytes are those of arith.twin_ranks' int64 array
+        ranks = arith.twin_ranks(limit)
+        envelope = {"command": "twins", "parameters": {"ceiling": 10**9, "limit": limit, "workers": 1},
+                    "results": {"limit": limit, "ranks": ranks, "count": len(ranks)}, "engine_version": __version__}
+        assert run_cli(capsys, "twins", "--limit", str(limit)) == (0, "".join(cli._json_pieces(envelope)) + "\n", "")
+        csv = "".join(cli._csv_pieces(["rank"], [ranks]))
+        assert run_cli(capsys, "twins", "--limit", str(limit), "--emit", "csv") == (0, csv, "")
 
     def test_twins_refusals_are_the_oracle_lines(self, capsys):
         for argv, line in [

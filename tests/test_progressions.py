@@ -40,6 +40,7 @@ from reference_lists import (
     TWIN_RANKS_TO_18,
     member_pairs,
     slow_nested_form,
+    three_mask_remnants,
 )
 
 
@@ -345,10 +346,33 @@ class TestRemnants:
         got = (rep.front_bound, *(tuple(c.tolist()) for c in (rep.remnants, rep.front_twin_ranks, rep.intruders)))
         assert got == slow_remnants(level, bound)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(primes_between(4, 400)), st.integers(1, 6000))
+    @example(5, 1)
+    @example(5, 2)
+    @example(251, 5000)
+    @example(257, 2)
+    def test_one_mask_equals_the_three_mask_reference(self, level, bound):
+        self.check_three_mask(level, bound)
+
+    @pytest.mark.parametrize("level", [5, 251, 257, 65521, 65537])  # parents of uint8, uint16 and (65537) uint32
+    @pytest.mark.parametrize("bound", [1, 2, 3, 3000])
+    def test_every_parent_dtype_at_the_smallest_bounds(self, level, bound):
+        self.check_three_mask(level, bound)
+
+    @staticmethod
+    def check_three_mask(level, bound):
+        rep = remnants_below(level, bound)
+        remnants, intruders = three_mask_remnants(level, bound)
+        assert rep.remnants.dtype == np.int64 and np.array_equal(rep.remnants, remnants)
+        assert rep.intruders.dtype == intruders.dtype and np.array_equal(rep.intruders, intruders)
+        assert np.array_equal(rep.front_twin_ranks, remnants[remnants < rep.front_bound])
+
     def test_parent_dtype_holds_the_largest_prime(self):
         # the primes run to max(level, sqrt(6*bound - 5)): here the level
         assert remnants_below(251, 10).intruders["parent"].dtype == np.uint8
         assert remnants_below(257, 10).intruders["parent"].dtype == np.uint16
+        assert remnants_below(65537, 10).intruders["parent"].dtype == np.uint32
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError, match=str(REMNANTS_GUARD)):
