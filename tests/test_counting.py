@@ -700,18 +700,19 @@ class TestC2PrimeStream:
             tracemalloc.stop()
         assert peak < bound
 
-    def test_c2_sums_keep_one_block_beside_the_next(self):
-        # At the 1e-7 cutoff (two blocks, summed in-process) the primes of the block just summed may stay alive
-        # beside its float column, or beside the next block's flags and primes, never beside both; 128 KiB covers
-        # the ufunc's cast buffer (8,192 float64) and small objects.  Measured: 4,807,168 bytes against a bound of
-        # 4,866,208; with the float column alive while the next block is sieved, 6,841,481.
+    def test_c2_sums_hold_one_block_at_a_time(self):
+        # At the 1e-7 cutoff (two blocks, summed in-process) each block's terms are made in its primes' own
+        # buffer, and the block is dropped before the next is sieved, so the peak is one block's flags and
+        # primes; 128 KiB covers the cast's slice copy and small objects.  Measured: 3,770,864 bytes against a
+        # bound of 3,896,744; with a float column beside the primes, 4,806,976, and with that column alive
+        # while the next block is sieved, 6,841,481.
         cutoff = int(2.0 / (3.0 * 1e-7)) + 7
         arith._rank_wheel()  # cached for the life of the process, so it is built before tracing
         blocks = list(arith.odd_prime_blocks(cutoff))
         assert len(blocks) == 2
-        lo, hi = 3 + arith.SPAN, cutoff + 1
-        flags = 2 * ((hi + 1) // 6 - (lo + 1) // 6 + 1)  # block 1's flags, two per rank
-        bound = blocks[0].nbytes + max(blocks[0].nbytes, flags + blocks[1].nbytes) + (1 << 17)
+        edges = [3, 3 + arith.SPAN, cutoff + 1]
+        flags = [2 * ((hi + 1) // 6 - (lo + 1) // 6 + 1) for lo, hi in zip(edges, edges[1:])]  # two per rank
+        bound = max(f + b.nbytes for f, b in zip(flags, blocks)) + (1 << 17)
         del blocks
         tracemalloc.start()
         try:
@@ -720,6 +721,18 @@ class TestC2PrimeStream:
         finally:
             tracemalloc.stop()
         assert peak < bound, (peak, bound)
+
+    @pytest.mark.parametrize("cast_slice", [1, 2, 7, counting.C2_CAST_SLICE])
+    @pytest.mark.parametrize("cutoff,last", [(3 + arith.SPAN, 0), (3 + arith.SPAN + 12, 1), (3 + 2 * arith.SPAN + 12, 3)])
+    def test_c2_block_sums_equal_a_separate_column_at_any_cast_slice(self, monkeypatch, cast_slice, cutoff, last):
+        # The last block holds no prime (3 + SPAN is composite), one (3 + SPAN + 12) or three (3 + 2*SPAN + 6, 8
+        # and 12), so the slice loop ends on a full slice, a part slice or no slice at all.
+        monkeypatch.setattr(counting, "C2_CAST_SLICE", cast_slice)
+        blocks = list(slow_prime_blocks(cutoff))
+        assert blocks[-1].size == last
+        want = [float(np.log1p(np.divide(-1.0, np.square(np.subtract(b, 1.0, dtype=np.float64)))).sum()) for b in blocks]
+        got = counting._c2_block_sums((cutoff, 3))
+        assert [s.hex() for s in got] == [s.hex() for s in want]
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-6, 1e-7])
     def test_c2_bits_equal_the_reference(self, tol):

@@ -1,4 +1,4 @@
-"""Peak memory of the list commands and of legendre --level 23 (one and two workers), each against the start-up floor of counts --level 5.
+"""Peak memory of the list commands, of c2 --tol 1e-7 and of legendre --level 23 (one and two workers), each against the start-up floor of counts --level 5.
 
 Every command runs as a CLI in a fresh interpreter, and its peak RSS is the
 ru_maxrss that wait4 reports.  On Linux a child's ru_maxrss starts at the RSS
@@ -45,6 +45,11 @@ GUARD_COMMANDS = {"remnants --level 61 --bound 10000000": 45, "nonranks --prime 
 # family writes its members' texts a bounded batch at a time, so it has an allowance of its own.
 FAMILY_COMMAND = "family --primes 5,7,11,13,17,19,23,29,31,37,41,43,47,53 --nested 53"
 FAMILY_ALLOWED_MB = 8
+# c2 --tol 1e-7 sums its two prime blocks in-process, each block's terms made in
+# its primes' own buffer: about 3.7 MB over the floor, 4.9-5.1 MB while each
+# block's float column sat beside its primes.
+C2_COMMAND = "c2 --tol 1e-7"
+C2_ALLOWED_MB = 4.3
 # legendre --level 23 holds the 2.2 million primes above its level (18 MB) and the
 # 985,501 squarefree terms over those up to sqrt(x), 9 bytes each, so it has an
 # allowance of its own, with two workers too, which are handed their terms pickled:
@@ -77,5 +82,7 @@ def test_list_commands_stay_near_the_start_up_floor(tmp_path):
     assert all(guards[command] <= allowed for command, allowed in GUARD_COMMANDS.items()), guards
     family = round(peak_mb(FAMILY_COMMAND.split()) - floor, 1)
     assert family <= FAMILY_ALLOWED_MB, family
+    c2 = round(peak_mb(C2_COMMAND.split()) - floor, 1)
+    assert c2 <= C2_ALLOWED_MB, c2
     legendre = {command: round(peak_mb(command.split()) - floor, 1) for command in LEGENDRE_COMMANDS}
     assert max(legendre.values()) <= LEGENDRE_ALLOWED_MB, legendre
