@@ -1,12 +1,13 @@
-"""Twin-rank / non-rank classification and the prime-driven non-rank generators.
+"""Twin-rank / non-rank classification.
 
 A positive integer m is a twin rank when 6m-1 and 6m+1 are both prime, and a
 non-rank otherwise.  Every non-rank can be written n*p +- N(p/6) for a prime
 p >= 5 and n >= 0; classification recovers the least such parent prime from
-the factorization of the composite side(s).
+the factorization of the composite side(s).  The non-rank generator,
+nonranks_of, is an array layer and lives in progressions.
 
 The parent is the least of the composite sides' least prime factors.  Below
-arith.LEAST_CAP = 2**22 both sides are read from the least-factor table, the
+LEAST_CAP = 2**22 both sides are read from arith's least-factor table, the
 engine's rank-space strike with each base prime's value in place of a flag:
 two smallest_prime_factor lookups, 3-4 us a call for m <= 300,000 against
 7-8 us on the scalar path, with at most eight 128 KB blocks cached.
@@ -17,27 +18,26 @@ the same gcd, trial division by the primes from 223 to 2**16, then Brent's
 rho on what is left, so classification runs in constant memory for every m
 with 6m + 1 < 2**64.  When both sides are composite, a trial factor a of 6m-1
 leaves 6m+1 to trial division below a, and rho runs only when neither side
-has a factor below 2**16.
+has a factor below 2**16.  This module imports no numpy: its primitives come
+from primality, whose 2**16 trial primes come from a bytearray sieve, so
+`twinsieve classify m` from 2**22 up starts without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .arith import (
+from .errors import CapacityError, DomainError
+from .primality import (
     LEAST_CAP,
     PRIMALITY_LIMIT,
     TRIAL_BOUND,
     is_prime,
-    nsix,
     rough_least_prime,
     small_gcd,
     smallest_prime_factor,
     trial_factor,
 )
-from .errors import CapacityError, DomainError
 
 TWIN_RANK = "twin_rank"
 NON_RANK = "non_rank"
@@ -46,16 +46,6 @@ SIDE_PLUS = "plus"    # 6m + 1
 
 SIGN_PLUS = "+"
 SIGN_MINUS = "-"
-
-# nonranks_of's records: the value, its n and the sign of N(p/6).
-NONRANK = np.dtype([("value", np.int64), ("n", np.int64), ("sign", "U1")])
-NONRANK_OBJECT = np.dtype([("value", object), ("n", np.int64), ("sign", "U1")])  # values of 2**63 and up
-
-# Most terms nonranks_of generates: nonranks --prime 5 --limit 2500000, 10^6
-# terms, takes 1.2-1.3 s at 53 MB on a 2-vCPU host (an 87 MB envelope; 74 MB
-# while whole-length temporaries built the columns, 4.5 s at 259 MB with one
-# dataclass per term).
-NONRANKS_GUARD = 10**6
 
 
 @dataclass(frozen=True, init=False)
@@ -81,33 +71,6 @@ class Classification:
     @property
     def is_twin_rank(self) -> bool:
         return self.verdict == TWIN_RANK
-
-
-def nonranks_of(p: int, limit: int) -> np.ndarray:
-    """All non-rank values n*p +- N(p/6) <= limit with n >= 1, ascending, as NONRANK records.
-
-    N(p/6) < p/2, so the two progressions interleave: n*p - N(p/6) comes
-    before n*p + N(p/6), which comes before (n+1)*p - N(p/6).  The value
-    column is int64 unless a value could reach 2**63, and then holds Python
-    ints.  The n = 0 offsets are twin ranks when the companion of p is prime,
-    so they are not generated here (rank_from_prime covers them).  Raises
-    CapacityError, before generating any, when there would be more than
-    NONRANKS_GUARD terms.
-    """
-    off = nsix(p)  # validates p
-    count = max(0, (limit + off) // p) + max(0, (limit - off) // p)
-    if count > NONRANKS_GUARD:
-        raise CapacityError(f"{count} non-ranks of {p} up to {limit} exceed {NONRANKS_GUARD}")
-    exact = max(limit + off, p) < 2**63
-    terms = np.empty(count, dtype=NONRANK if exact else NONRANK_OBJECT)
-    n, value, sign = terms["n"], terms["value"], terms["sign"]  # views: every column is filled in place
-    n[0::2] = np.arange(1, (count + 1) // 2 + 1)  # the minus terms; the plus term after each shares its n
-    n[1::2] = n[0::2][: count // 2]
-    np.multiply(n if exact else n.astype(object), p, out=value)
-    value[0::2] -= off
-    value[1::2] += off
-    sign[0::2], sign[1::2] = SIGN_MINUS, SIGN_PLUS
-    return terms
 
 
 def classify(m: int) -> Classification:

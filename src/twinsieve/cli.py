@@ -24,11 +24,15 @@ is wall-clock timing by design; verify prints its throughput to stderr to
 keep the envelope deterministic.  Domain, capacity, memory and OS errors (an
 invalid cache file, --workers below 1, an unwritable --out or --cache-dir, a
 closed stdout pipe) exit 1 with one line on stderr.
+Importing cli loads no array layer: each handler binds the library names it
+calls when it runs (_bind), the writer imports numpy only for an array it was
+handed, and so `classify m` from 2**22 up runs without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 import tempfile
@@ -41,23 +45,49 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from . import __version__
-from .arith import twin_ranks
-from .counting import (
-    asymptote_coefficient,
-    counts_row,
-    hardy_littlewood_constant,
-    legendre_pi2,
-    main_term,
-    twin_prime_constant,
-)
-from .classify import classify, nonranks_of
+from .classify import classify
 from .errors import CapacityError, DomainError
-from .oracle import DEFAULT_CEILING, _check_extent, pi2_exact, verify_classify
-from .oracle import twin_ranks_up_to  # noqa: F401  unused here; perfbench/traced.py wraps cli's name
-from .progressions import crt_family, nested_form, remnants_below, residue_set
+from .primality import DEFAULT_CEILING
+
+# The library names the commands call beyond classify, by the module that
+# defines them.  A handler binds its modules' names into this module's globals
+# (_bind) before it calls them, and __getattr__ binds them on first access from
+# outside, so importing cli loads no array layer.  A name already bound (a
+# traced wrap, a test's monkeypatch) is never rebound.  twin_ranks_up_to is
+# called by no command; perfbench/traced.py wraps cli's name.
+_LAYERS = {
+    name: module
+    for module, names in {
+        "arith": ("twin_ranks",),
+        "counting": ("asymptote_coefficient", "counts_row", "hardy_littlewood_constant", "legendre_pi2",
+                     "main_term", "twin_prime_constant"),
+        "oracle": ("_check_extent", "pi2_exact", "twin_ranks_up_to", "verify_classify"),
+        "progressions": ("crt_family", "nested_form", "nonranks_of", "remnants_below", "residue_set"),
+    }.items()
+    for name in names
+}
+
+
+def _bind(*modules: str) -> None:
+    """Bind the _LAYERS names of these modules that are not bound yet, importing the modules."""
+    bound = globals()
+    for name, module in _LAYERS.items():
+        if module in modules and name not in bound:
+            bound[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+
+
+def __getattr__(name: str):
+    if name not in _LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAYERS[name])
+    return globals()[name]
+
+
+def _is_array(v) -> bool:
+    """isinstance(v, numpy.ndarray), without importing numpy: while it is not loaded, no array exists."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(v, np.ndarray)
 
 
 def _exact(v):
@@ -165,7 +195,9 @@ def _batches(items: Iterable, size: int | None = None):
     size = size or _BATCH
     if isinstance(items, _Made):
         yield from map(items.make, _slices(items.source, size))
-    elif isinstance(items, np.ndarray):
+    elif _is_array(items):
+        import numpy as np
+
         ints = items.ndim == 1 and items.dtype.kind in "iu" and np.can_cast(items.dtype, np.int64)
         yield from (piece.astype(np.int64, copy=False) if ints else piece.tolist() for piece in _slices(items, size))
     else:
@@ -193,6 +225,8 @@ def _int64_text(values: np.ndarray, sep: str, quote: str = '"') -> str:
     otherwise the rows are the text.  On sorted batches of _BATCH values it is
     several times faster than "%d" mapped over .tolist().
     """
+    import numpy as np
+
     mag = values.astype(np.uint64)
     neg = values < 0
     np.negative(mag, out=mag, where=neg)  # modulo 2**64: |v| for every int64 v, -2**63 included
@@ -220,7 +254,7 @@ def _int64_text(values: np.ndarray, sep: str, quote: str = '"') -> str:
 def _texts(values):
     """JSON texts of a batch of scalars: a slice of a 1-D int64 array through _int64_text, a C-level map if all
     are ints or all strings; None if one is a container."""
-    if isinstance(values, np.ndarray):
+    if _is_array(values):
         return _int64_text(values, "\n").split("\n")
     kinds = set(map(type, values))
     if kinds == {int}:
@@ -260,12 +294,12 @@ def _json_pieces(obj, indent: str = ""):
             yield from _json_pieces(obj[key], inner)
             lead = ",\n" + inner
         yield "\n" + indent + "}"
-    elif isinstance(obj, (list, tuple, np.ndarray, _Records)):
+    elif isinstance(obj, (list, tuple, _Records)) or _is_array(obj):
         lead, sep = "[\n" + inner, ",\n" + inner
         records = isinstance(obj, _Records)
         texts_of = _record_texts(obj.keys, inner) if records else _texts
         for batch in _rows(obj.columns) if records else _batches(obj):
-            texts = [_int64_text(batch, sep)] if isinstance(batch, np.ndarray) else texts_of(batch)
+            texts = [_int64_text(batch, sep)] if _is_array(batch) else texts_of(batch)
             if texts is None:
                 for item in batch:
                     yield lead
@@ -281,7 +315,7 @@ def _json_pieces(obj, indent: str = ""):
 
 def _csv_cells(column):
     """The CSV cells of one column of a batch: a slice of a 1-D int64 array is one _int64_text, split; a C-level map if all are ints of at most _DIRECT_BITS, or all strings."""
-    if isinstance(column, np.ndarray):
+    if _is_array(column):
         return _int64_text(column, "\n", quote="").split("\n")
     if (kinds := set(map(type, column))) == {int} and max(map(int.bit_length, column)) <= _DIRECT_BITS:
         return map("%d".__mod__, column)
@@ -337,6 +371,8 @@ def _cache_path(cache_dir: str, level: int) -> Path:
 
 def _load_cached_constants(cache_dir: str, level: int):
     """(modulus, constants) from the cache, or None; DomainError unless the file holds exactly C_level."""
+    import numpy as np
+
     path = _cache_path(cache_dir, level)
     if not path.is_file():
         return None
@@ -373,13 +409,15 @@ def _cmd_classify(args):
 
 
 def _cmd_twins(args):
+    _bind("arith", "oracle")
     _check_extent(6 * args.limit + 1, args.ceiling, f"6*{args.limit}+1")  # the oracle's bounds, kept
-    ranks = twin_ranks(args.limit, np.uint32)  # the oracle's guard keeps 6*limit + 1 within 10**10
+    ranks = twin_ranks(args.limit, "uint32")  # the oracle's guard keeps 6*limit + 1 within 10**10
     results = {"limit": args.limit, "ranks": ranks, "count": len(ranks)}
     return results, lambda: (["rank"], [ranks])
 
 
 def _cmd_nonranks(args):
+    _bind("progressions")
     terms = nonranks_of(args.prime, args.limit)
     records = _Records(terms.dtype.names, [terms[k] for k in terms.dtype.names])
     results = {"prime": args.prime, "limit": args.limit, "count": len(terms), "terms": records}
@@ -387,6 +425,7 @@ def _cmd_nonranks(args):
 
 
 def _cmd_constants(args):
+    _bind("counting", "progressions")  # a cached level is checked against counts_row
     cached = _load_cached_constants(args.cache_dir, args.level) if args.cache_dir else None
     if cached is not None:
         modulus, constants = cached
@@ -400,6 +439,7 @@ def _cmd_constants(args):
 
 
 def _cmd_remnants(args):
+    _bind("progressions")
     rep = remnants_below(args.level, args.bound)
     results = {
         "level": rep.p,
@@ -413,7 +453,7 @@ def _cmd_remnants(args):
     return results, lambda: (["value", "kind", "parent"], _remnant_columns(rep))
 
 
-_KINDS = np.array(["twin_rank", "intruder", "front_twin_rank"], dtype=object)
+_KINDS = ("twin_rank", "intruder", "front_twin_rank")
 
 
 def _remnant_columns(rep) -> list:
@@ -422,16 +462,20 @@ def _remnant_columns(rep) -> list:
     kind and parent are made a batch at a time from an int8 and an unsigned column, 0 for no parent:
     as columns of objects they would be 22 MB at bound 10^7.
     """
+    import numpy as np
+
+    texts = np.array(_KINDS, dtype=object)
     parent = np.zeros(len(rep.remnants), dtype=rep.intruders["parent"].dtype)
     parent[np.searchsorted(rep.remnants, rep.intruders["value"])] = rep.intruders["parent"]
     kind = (parent != 0).astype(np.int8)
     kind[: len(rep.front_twin_ranks)] = 2  # the front holds twin ranks only
-    kinds = _Made(kind, lambda k: _KINDS[k].tolist(), max(map(len, _KINDS)))
+    kinds = _Made(kind, lambda k: texts[k].tolist(), max(map(len, _KINDS)))
     parents = _Made(parent, lambda p: [v or None for v in p.tolist()], len(str(int(parent.max(initial=0)))))
     return [rep.remnants, kinds, parents]
 
 
 def _cmd_family(args):
+    _bind("progressions")
     fam = crt_family(_parse_primes(args.primes))
     keys, columns = ("signs", "residue"), [_Made(fam.members, fam.sign_strings, len(fam.primes)), fam.members["residue"]]
     if args.nested is not None:
@@ -444,14 +488,17 @@ def _cmd_family(args):
 
 
 def _cmd_counts(args):
+    _bind("counting")
     return _one_row(_record(counts_row(args.level)))
 
 
 def _cmd_legendre(args):
+    _bind("counting")
     return _one_row(_record(legendre_pi2(args.level, ceiling=args.ceiling, workers=args.workers)))
 
 
 def _cmd_mainterm(args):
+    _bind("counting")
     rep = main_term(args.level)
     return _one_row({
         "level": rep.p_j,
@@ -467,6 +514,7 @@ def _cmd_mainterm(args):
 
 
 def _cmd_c2(args):
+    _bind("counting")
     return _one_row({
         "tolerance": args.tol,
         "c2": twin_prime_constant(args.tol),
@@ -476,6 +524,7 @@ def _cmd_c2(args):
 
 
 def _cmd_verify(args):
+    _bind("oracle")
     rep = verify_classify(args.limit, workers=args.workers, ceiling=args.ceiling)
     print(
         f"verify: {rep.limit} ranks in {rep.elapsed_s:.2f}s ({rep.ranks_per_s:.0f}/s)",
@@ -491,6 +540,7 @@ def _cmd_verify(args):
 
 
 def _cmd_bench(args):
+    _bind("oracle")
     t0 = time.perf_counter()
     pi2 = pi2_exact(args.limit, ceiling=args.ceiling)
     sieve_s = time.perf_counter() - t0

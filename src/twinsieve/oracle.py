@@ -16,8 +16,8 @@ import numpy as np
 from .classify import NON_RANK, TWIN_RANK, classify
 from .errors import CapacityError, DomainError
 from .parallel import parallel_map
+from .primality import DEFAULT_CEILING
 
-DEFAULT_CEILING = 10**9
 # Largest number the oracle sieves up to, whatever the ceiling allows; checked
 # before any sieving.  pi2_exact(10**10) counts 27,412,678 pairs in 98 s at
 # 31 MB on one core of a 2-vCPU host; level 29's period, 6L+1 = 6,469,693,231,

@@ -79,7 +79,7 @@ def test_criterion_2_reference_lists_exact():
     # rank 2 = N(11/6); classes plus boundary reproduce it verbatim.
     assert sorted(set(C11_CLASSES) | set(boundary_twin_ranks(11))) == C11_REFERENCE
 
-    from twinsieve.classify import nonranks_of
+    from twinsieve.progressions import nonranks_of
 
     a7 = [v for v in nonranks_of(7, 35)["value"].tolist() if classify(v).parent == 7]
     assert a7 == A7_INITIAL

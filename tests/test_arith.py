@@ -508,7 +508,7 @@ class TestLeastFactorTable:
         assert table_reads() - before == in_table
 
     def test_blocks_stay_bounded(self):
-        arith._small_primes()  # the 2**16 prime cache, which the table shares
+        arith.prime_array(4, 1 << 16)  # the 2**16 prime cache, which the table shares
         arith._least_block.cache_clear()
         size = arith._least_block.cache_info().maxsize
         tracemalloc.start()

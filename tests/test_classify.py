@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twinsieve.arith as arith
+import twinsieve.primality as primality
+import twinsieve.progressions as progressions
 from twinsieve.arith import LEAST_CAP, TRIAL_BOUND, is_prime, nsix, primes_between
 from twinsieve.classify import (
     NON_RANK,
@@ -21,11 +23,11 @@ from twinsieve.classify import (
     TWIN_RANK,
     Classification,
     classify,
-    nonranks_of,
     rank_from_prime,
     twin_index,
 )
 from twinsieve.errors import CapacityError, DomainError
+from twinsieve.progressions import nonranks_of
 
 from conftest import least_prime_factors, simple_sieve
 from reference_lists import NON_RANKS_TO_19, TWIN_INDICES_TO_108, TWIN_RANKS_TO_18, slow_classify
@@ -99,7 +101,7 @@ class TestClassify:
         def rho(n):
             raise AssertionError(f"{n} reached Miller-Rabin and rho")
 
-        for module in (arith, classify_module):
+        for module in (primality, classify_module):
             monkeypatch.setattr(module, "rough_least_prime", rho)
         c = classify(BALANCED_PLUS_M)
         assert c.parent == 11 and c.composite_sides == (SIDE_MINUS, SIDE_PLUS)
@@ -299,16 +301,16 @@ class TestNonRanksOf:
             def __getattr__(self, name):
                 raise AssertionError(f"np.{name} was reached above the guard")
 
-        monkeypatch.setattr(classify_module, "np", NoArrays())
+        monkeypatch.setattr(progressions, "np", NoArrays())
         with pytest.raises(CapacityError, match="399999999999999999 non-ranks of 5 up to 10{18} exceed 1000000"):
             nonranks_of(5, 10**18)
 
     @pytest.mark.parametrize("p, limit", [(5, 21), (7, 15), (7, 16), (11, 8), (13, 400), (101, 5000)])
     def test_guard_counts_the_terms_exactly(self, monkeypatch, p, limit):
         size = len(nonranks_of(p, limit))
-        monkeypatch.setattr(classify_module, "NONRANKS_GUARD", size)
+        monkeypatch.setattr(progressions, "NONRANKS_GUARD", size)
         assert len(nonranks_of(p, limit)) == size
-        monkeypatch.setattr(classify_module, "NONRANKS_GUARD", size - 1)
+        monkeypatch.setattr(progressions, "NONRANKS_GUARD", size - 1)
         with pytest.raises(CapacityError):
             nonranks_of(p, limit)
 

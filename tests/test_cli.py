@@ -297,7 +297,7 @@ class TestErrorsAndOutput:
             def __getattr__(self, name):
                 raise AssertionError(f"np.{name} was reached above the guard")
 
-        monkeypatch.setattr(importlib.import_module("twinsieve.classify"), "np", NoArrays())
+        monkeypatch.setattr(importlib.import_module("twinsieve.progressions"), "np", NoArrays())
         code, out, err = run_cli(capsys, "nonranks", "--prime", "5", "--limit", "1000000000000")
         assert (code, out) == (1, "")
         assert err == "twinsieve nonranks: 399999999999 non-ranks of 5 up to 1000000000000 exceed 1000000\n"

@@ -1,4 +1,9 @@
-"""Peak memory of the list commands, of c2 --tol 1e-7 and of legendre --level 23 (one and two workers), each against the start-up floor of counts --level 5.
+"""Peak memory of the list commands, of c2 --tol 1e-7, of legendre --level 23 (one and two workers) and of classify from 2**22 up, each against the start-up floor of counts --level 5.
+
+The floor loads counting, oracle, arith and numpy, but not progressions: each
+command imports only the layers it calls, so the list commands pay for
+progressions within their allowances, and classify from 2**22 up, which
+imports no numpy, peaks below the floor.
 
 Every command runs as a CLI in a fresh interpreter, and its peak RSS is the
 ru_maxrss that wait4 reports.  On Linux a child's ru_maxrss starts at the RSS
@@ -27,8 +32,9 @@ LAUNCHER = (
 # The list commands, each of which once held its whole payload as Python ints
 # (the cold and the warm constants run share one cache directory).  With their
 # writers' batches bounded, twins' 4-byte ranks and remnants' one mask, each
-# sits at most about 5 MB over the floor; twins and remnants sat 7.5-8.9 MB
-# over it while twins held int64 ranks and remnants three masks.
+# sits at most about 5.2 MB over the floor (remnants --level 61 --bound
+# 1000000); twins and remnants sat 7.5-8.9 MB over it while twins held int64
+# ranks and remnants three masks.
 LIST_COMMANDS = [
     "constants --level 19 --cache-dir {cache}",
     "constants --level 19 --cache-dir {cache}",
@@ -38,24 +44,29 @@ LIST_COMMANDS = [
     "nonranks --prime 101 --limit 1000000",
 ]
 ALLOWED_MB = 6.5
-# The list commands at their guards, with allowances of their own: about 39 and
-# 22 MB over the floor, 69 and 43 MB while remnants held three masks beside its
+# The list commands at their guards, with allowances of their own: about 39.4 and
+# 22.2 MB over the floor, 69 and 43 MB while remnants held three masks beside its
 # least parents and nonranks built its columns from whole-length temporaries.
 GUARD_COMMANDS = {"remnants --level 61 --bound 10000000": 45, "nonranks --prime 5 --limit 2500000": 27}
-# family writes its members' texts a bounded batch at a time, so it has an allowance of its own.
+# family writes its members' texts a bounded batch at a time, so it has an allowance of its own
+# (about 3.2 MB over the floor).
 FAMILY_COMMAND = "family --primes 5,7,11,13,17,19,23,29,31,37,41,43,47,53 --nested 53"
 FAMILY_ALLOWED_MB = 8
 # c2 --tol 1e-7 sums its two prime blocks in-process, each block's terms made in
-# its primes' own buffer: about 3.7 MB over the floor, 4.9-5.1 MB while each
+# its primes' own buffer: about 3.4-3.6 MB over the floor, 4.9-5.1 MB while each
 # block's float column sat beside its primes.
 C2_COMMAND = "c2 --tol 1e-7"
 C2_ALLOWED_MB = 4.3
 # legendre --level 23 holds the 2.2 million primes above its level (18 MB) and the
 # 985,501 squarefree terms over those up to sqrt(x), 9 bytes each, so it has an
 # allowance of its own, with two workers too, which are handed their terms pickled:
-# about 42 and 44-49 MB over the floor, 72 and 149 MB while every term was built.
+# about 37.6 and 44.1 MB over the floor, 72 and 149 MB while every term was built.
 LEGENDRE_COMMANDS = ["legendre --level 23", "legendre --level 23 --workers 2"]
 LEGENDRE_ALLOWED_MB = 60
+# classify from 2**22 up (both sides composite) imports no numpy: about 13.4 MB
+# under the floor, which imports it.
+CLASSIFY_COMMAND = "classify 96752406"
+CLASSIFY_BELOW_MB = 8
 
 
 def peak_mb(argv: list[str]) -> float:
@@ -86,3 +97,5 @@ def test_list_commands_stay_near_the_start_up_floor(tmp_path):
     assert c2 <= C2_ALLOWED_MB, c2
     legendre = {command: round(peak_mb(command.split()) - floor, 1) for command in LEGENDRE_COMMANDS}
     assert max(legendre.values()) <= LEGENDRE_ALLOWED_MB, legendre
+    classify = round(peak_mb(CLASSIFY_COMMAND.split()) - floor, 1)
+    assert classify <= -CLASSIFY_BELOW_MB, classify

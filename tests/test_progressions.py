@@ -641,7 +641,7 @@ class TestGapPattern:
         assert gap_pattern(p) == expect
 
     def test_gaps_alternate(self):
-        from twinsieve.classify import nonranks_of
+        from twinsieve.progressions import nonranks_of
 
         for p in [q for q in range(5, 101) if all(q % d for d in range(2, q))]:
             a, b = gap_pattern(p)
