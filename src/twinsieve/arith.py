@@ -1,9 +1,4 @@
-"""The engine's prime sieve in rank space, its prime cache and the least-factor table.
-
-The scalar primitives (primality, least prime factors, N(p/6)) live in the
-numpy-free primality module; they are re-exported here, so arith.is_prime and
-the rest keep naming them.
-"""
+"""The engine's prime sieve in rank space, its prime cache and the least-factor table."""
 
 from __future__ import annotations
 
@@ -13,10 +8,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .primality import (  # noqa: F401  re-exported: arith keeps naming every scalar primitive
-    LEAST_BLOCK, LEAST_CAP, PRIMALITY_LIMIT, TRIAL_BOUND, _SMALL_PRIMES, _SMALL_PRODUCT, _brent_rho, _small_primes,
-    is_prime, nearest_int, next_prime, nsix, rough_least_prime, small_gcd, smallest_prime_factor, trial_factor,
-)
+from .primality import LEAST_BLOCK
 
 # The engine's prime sieve, in rank space: flag 2r + s of a block (less 2*r_lo)
 # stands for 6r - 1 (s = 0) or 6r + 1 (s = 1).  The oracle keeps its own sieve.

@@ -19,14 +19,14 @@ more than _TEXT characters of made text.  A batch is at most _BATCH rows, so
 its transient texts stay small beside the payload.  The pieces go
 to stdout as they are made, or to a temp file that replaces --out only once
 it is complete.
-Identical argv produces byte-identical output, except for bench whose payload
-is wall-clock timing by design; verify prints its throughput to stderr to
-keep the envelope deterministic.  Domain, capacity, memory and OS errors (an
-invalid cache file, --workers below 1, an unwritable --out or --cache-dir, a
-closed stdout pipe) exit 1 with one line on stderr.
-Importing cli loads no array layer: each handler binds the library names it
-calls when it runs (_bind), the writer imports numpy only for an array it was
-handed, and so `classify m` from 2**22 up runs without numpy.
+Identical argv produces byte-identical output; verify prints its throughput
+to stderr to keep the envelope deterministic.  Domain, capacity, memory and
+OS errors (an invalid cache file, --workers below 1, an unwritable --out or
+--cache-dir, a closed stdout pipe) exit 1 with one line on stderr.
+Importing cli loads no array layer: each handler binds the names of the
+package's lazy table (twinsieve._LAZY_MODULES) from the modules it calls when
+it runs (_bind), the writer imports numpy only for an array it was handed, and
+so `classify m` from 2**22 up runs without numpy.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import importlib
 import os
 import sys
 import tempfile
-import time
 import warnings
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -45,42 +44,28 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from . import __version__
+from . import _LAZY, _LAZY_MODULES, __version__
 from .classify import classify
 from .errors import CapacityError, DomainError
 from .primality import DEFAULT_CEILING
 
-# The library names the commands call beyond classify, by the module that
-# defines them.  A handler binds its modules' names into this module's globals
-# (_bind) before it calls them, and __getattr__ binds them on first access from
-# outside, so importing cli loads no array layer.  A name already bound (a
-# traced wrap, a test's monkeypatch) is never rebound.  twin_ranks_up_to is
-# called by no command; perfbench/traced.py wraps cli's name.
-_LAYERS = {
-    name: module
-    for module, names in {
-        "arith": ("twin_ranks",),
-        "counting": ("asymptote_coefficient", "counts_row", "hardy_littlewood_constant", "legendre_pi2",
-                     "main_term", "twin_prime_constant"),
-        "oracle": ("_check_extent", "pi2_exact", "twin_ranks_up_to", "verify_classify"),
-        "progressions": ("crt_family", "nested_form", "nonranks_of", "remnants_below", "residue_set"),
-    }.items()
-    for name in names
-}
-
 
 def _bind(*modules: str) -> None:
-    """Bind the _LAYERS names of these modules that are not bound yet, importing the modules."""
+    """Bind the package's lazy names of these modules that are not bound yet, importing the modules.
+
+    A name already bound (a traced wrap, a test's monkeypatch) is never rebound.
+    """
     bound = globals()
-    for name, module in _LAYERS.items():
-        if module in modules and name not in bound:
-            bound[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+    for module in modules:
+        for name in _LAZY_MODULES[module]:
+            if name not in bound:
+                bound[name] = getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 def __getattr__(name: str):
-    if name not in _LAYERS:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_LAYERS[name])
+    _bind(_LAZY[name])
     return globals()[name]
 
 
@@ -409,7 +394,9 @@ def _cmd_classify(args):
 
 
 def _cmd_twins(args):
-    _bind("arith", "oracle")
+    from .oracle import _check_extent
+
+    _bind("arith")
     _check_extent(6 * args.limit + 1, args.ceiling, f"6*{args.limit}+1")  # the oracle's bounds, kept
     ranks = twin_ranks(args.limit, "uint32")  # the oracle's guard keeps 6*limit + 1 within 10**10
     results = {"limit": args.limit, "ranks": ranks, "count": len(ranks)}
@@ -539,26 +526,6 @@ def _cmd_verify(args):
     }, "mismatches")
 
 
-def _cmd_bench(args):
-    _bind("oracle")
-    t0 = time.perf_counter()
-    pi2 = pi2_exact(args.limit, ceiling=args.ceiling)
-    sieve_s = time.perf_counter() - t0
-    sample = min(args.limit // 6, 20_000)
-    t0 = time.perf_counter()
-    for m in range(1, sample + 1):
-        classify(m)
-    classify_s = time.perf_counter() - t0
-    return _one_row({
-        "limit": args.limit,
-        "pi2": pi2,
-        "sieve_seconds": sieve_s,
-        "classify_sample": sample,
-        "classify_seconds": classify_s,
-        "classify_per_second": sample / classify_s if classify_s > 0 else float("inf"),
-    })
-
-
 def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
     # On the root parser the flags carry real defaults; on subparsers they
     # default to SUPPRESS so a flag given before the subcommand survives.
@@ -612,8 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("c2", "twin prime constant from the truncated product", _cmd_c2)
     p.add_argument("--tol", type=float, default=1e-6)
     p = command("verify", "replay classify against the sieve oracle", _cmd_verify)
-    p.add_argument("--limit", type=int, required=True)
-    p = command("bench", "time the oracle sieve and the classifier", _cmd_bench)
     p.add_argument("--limit", type=int, required=True)
     return parser
 

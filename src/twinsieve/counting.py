@@ -15,10 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import SPAN, _least_factors, is_prime, next_prime, odd_prime_blocks, prime_array, primes_between
+from .arith import SPAN, _least_factors, odd_prime_blocks, prime_array, primes_between
 from .errors import CapacityError, DomainError
-from .oracle import DEFAULT_CEILING, pi2_exact
+from .oracle import pi2_exact
 from .parallel import parallel_map, pool_size
+from .primality import DEFAULT_CEILING, is_prime, next_prime
 
 EULER_GAMMA = 0.5772156649015329
 # Largest sieve level counts_row accepts, checked before any sieving.  On a

@@ -19,10 +19,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .arith import _strike, is_prime, next_prime, nsix, prime_array
+from .arith import _strike, prime_array
 from .classify import SIGN_MINUS, SIGN_PLUS, classify
 from .counting import check_level, counts_row, m_bound
 from .errors import CapacityError, DomainError
+from .primality import is_prime, next_prime, nsix
 
 MATERIALIZE_GUARD = 10**8
 # Largest level residue_set materializes: C_23 holds 7,952,175 residues and

@@ -1,10 +1,19 @@
+import argparse
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from twinsieve.cli import build_parser
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def cli_commands() -> set[str]:
+    """The subcommands of the CLI's parser."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return set(sub.choices)
 
 
 def simple_sieve(limit: int) -> list[bool]:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from twinsieve.arith import is_prime, nsix, primes_between, rough_least_prime, trial_factor
+from twinsieve.arith import primes_between
 from twinsieve.classify import (
     NON_RANK,
     SIDE_MINUS,
@@ -22,6 +22,7 @@ from twinsieve.classify import (
 )
 from twinsieve.errors import DomainError
 from twinsieve.oracle import sieve_segment
+from twinsieve.primality import is_prime, nsix, rough_least_prime, trial_factor
 
 
 def slow_smallest_prime_factor(n: int) -> int:

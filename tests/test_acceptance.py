@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from twinsieve.arith import nsix, primes_between
+from twinsieve.arith import primes_between
 from twinsieve.classify import classify, twin_index
 from twinsieve.cli import main
 from twinsieve.counting import (
@@ -35,6 +35,7 @@ from twinsieve.progressions import (
     remnants_below,
     residue_set,
 )
+from twinsieve.primality import nsix
 
 from reference_lists import (
     A7_INITIAL,

@@ -11,26 +11,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twinsieve.arith as arith
-from twinsieve.arith import (
-    is_prime,
-    nearest_int,
-    next_prime,
-    nsix,
-    primes_between,
-    smallest_prime_factor,
-    trial_factor,
-)
+import twinsieve.primality as primality
+from twinsieve.arith import primes_between
 from twinsieve.classify import classify
 from twinsieve.counting import counts_row, squarefree_terms
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import sieve_segment, twin_ranks_up_to
+from twinsieve.primality import is_prime, nearest_int, next_prime, nsix, smallest_prime_factor, trial_factor
 
 from conftest import least_prime_factors, simple_sieve
 from reference_lists import slow_smallest_prime_factor
 
 REF_FLAGS = simple_sieve(100_000)
 REF_PRIMES = [p for p, ok in enumerate(REF_FLAGS) if ok]
-PRIMES_PAST_TRIAL = [p for p in REF_PRIMES if p > arith.TRIAL_BOUND]
+PRIMES_PAST_TRIAL = [p for p in REF_PRIMES if p > primality.TRIAL_BOUND]
 SRC = Path(__file__).resolve().parents[1] / "src"
 COLD_CACHE = (1, np.empty(0, dtype=np.int64))  # the prime cache before anything is sieved
 
@@ -60,12 +54,12 @@ class TestIsPrime:
 # product of the primes to 211, with is_prime's trial division by the primes
 # to 59 and one strong-pseudoprime test with the seven bases that are
 # deterministic below 2**64: references that share no code with arith.
-TRIAL_PRIMES = [p for p in REF_PRIMES if p < arith.TRIAL_BOUND]
+TRIAL_PRIMES = [p for p in REF_PRIMES if p < primality.TRIAL_BOUND]
 BASES_BELOW_2_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 GCD_BELOWS = [2, 3, 5, 6, 7, 60, 61, 62, 211, 212, 223, 224, 1 << 16]
 
 
-def loop_trial_factor(n: int, below: int = arith.TRIAL_BOUND) -> int:
+def loop_trial_factor(n: int, below: int = primality.TRIAL_BOUND) -> int:
     root = math.isqrt(n)
     for p in TRIAL_PRIMES:
         if p >= below:
@@ -409,8 +403,8 @@ def table_reads() -> int:
     return info.hits + info.misses
 
 
-BLOCKS = arith.LEAST_CAP // arith.LEAST_BLOCK
-BLOCK_BYTES = 2 * arith.LEAST_BLOCK * np.dtype(np.uint16).itemsize
+BLOCKS = primality.LEAST_CAP // primality.LEAST_BLOCK
+BLOCK_BYTES = 2 * primality.LEAST_BLOCK * np.dtype(np.uint16).itemsize
 
 
 class TestTwinRanks:
@@ -482,8 +476,8 @@ class TestLeastFactorTable:
         assert not (np.flatnonzero(got != want) + 2).tolist()
 
     def test_entries_are_zero_exactly_at_primes(self):
-        lpf = least_prime_factors(6 * arith.LEAST_BLOCK + 1)
-        sides = 6 * np.arange(1, arith.LEAST_BLOCK)[:, None] + [-1, 1]  # entry 2r + s from rank 1
+        lpf = least_prime_factors(6 * primality.LEAST_BLOCK + 1)
+        sides = 6 * np.arange(1, primality.LEAST_BLOCK)[:, None] + [-1, 1]  # entry 2r + s from rank 1
         entries = np.frombuffer(arith._least_block(0), dtype=np.uint16)[2:].reshape(-1, 2)
         assert (entries == np.where(lpf[sides] == sides, 0, lpf[sides])).all()
 
@@ -492,17 +486,17 @@ class TestLeastFactorTable:
         st.one_of(
             # Both sides of ranks at block edges, from block 0 to two blocks past the cap.
             st.builds(
-                lambda k, d, side: 6 * (k * arith.LEAST_BLOCK + d) + side,
+                lambda k, d, side: 6 * (k * primality.LEAST_BLOCK + d) + side,
                 st.integers(0, BLOCKS + 2), st.integers(-1, 1), st.sampled_from([-1, 1]),
             ),
             # Every residue mod 6 on both sides of the cap.
-            st.integers(6 * arith.LEAST_CAP - 300, 6 * arith.LEAST_CAP + 300),
+            st.integers(6 * primality.LEAST_CAP - 300, 6 * primality.LEAST_CAP + 300),
             # Multiples of 2 or 3 below the cap.
-            st.builds(operator.mul, st.sampled_from([2, 3]), st.integers(1, 2 * arith.LEAST_CAP - 1)),
+            st.builds(operator.mul, st.sampled_from([2, 3]), st.integers(1, 2 * primality.LEAST_CAP - 1)),
         ).filter(lambda n: n >= 2)
     )
     def test_edges_and_the_cap_equal_trial_division(self, n):
-        in_table = n % 6 in (1, 5) and (n + 1) // 6 < arith.LEAST_CAP
+        in_table = n % 6 in (1, 5) and (n + 1) // 6 < primality.LEAST_CAP
         before = table_reads()
         assert smallest_prime_factor(n) == slow_smallest_prime_factor(n)
         assert table_reads() - before == in_table
@@ -514,7 +508,7 @@ class TestLeastFactorTable:
         tracemalloc.start()
         try:
             for k in range(2 * size + 3):  # spread over more blocks than the cache keeps
-                classify(k * arith.LEAST_BLOCK + 7)
+                classify(k * primality.LEAST_BLOCK + 7)
                 assert arith._least_block.cache_info().currsize <= size
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -530,7 +524,7 @@ class TestLeastFactorTable:
 
     def test_no_block_above_the_cap(self):
         arith._least_block.cache_clear()
-        for m in (arith.LEAST_CAP, arith.LEAST_CAP + 3, 10**12, (2**64 - 2) // 6):
+        for m in (primality.LEAST_CAP, primality.LEAST_CAP + 3, 10**12, (2**64 - 2) // 6):
             classify(m)
         assert arith._least_block.cache_info().misses == 0
 

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import twinsieve.arith as arith
 import twinsieve.primality as primality
 import twinsieve.progressions as progressions
-from twinsieve.arith import LEAST_CAP, TRIAL_BOUND, is_prime, nsix, primes_between
+from twinsieve.arith import primes_between
 from twinsieve.classify import (
     NON_RANK,
     SIDE_MINUS,
@@ -27,6 +26,7 @@ from twinsieve.classify import (
     twin_index,
 )
 from twinsieve.errors import CapacityError, DomainError
+from twinsieve.primality import LEAST_CAP, TRIAL_BOUND, is_prime, nsix
 from twinsieve.progressions import nonranks_of
 
 from conftest import least_prime_factors, simple_sieve
@@ -174,7 +174,7 @@ class TestAgainstALeastFactorSieve:
         def spy(name):
             def call(n, *handed):  # above the cap classify also hands on each side's small gcd
                 calls.append((name, n))
-                return getattr(arith, name)(n, *handed)
+                return getattr(primality, name)(n, *handed)
             return call
 
         for name in ("is_prime", "smallest_prime_factor"):
@@ -193,8 +193,8 @@ class TestAgainstALeastFactorSieve:
 
 # m at the least-factor table's block edges, up to two blocks past the cap, and on both sides of the cap.
 EDGE_M = st.builds(
-    lambda k, d: max(1, k * arith.LEAST_BLOCK + d),
-    st.integers(0, LEAST_CAP // arith.LEAST_BLOCK + 2),
+    lambda k, d: max(1, k * primality.LEAST_BLOCK + d),
+    st.integers(0, LEAST_CAP // primality.LEAST_BLOCK + 2),
     st.integers(-2, 2),
 )
 CAP_M = st.integers(LEAST_CAP - 200, LEAST_CAP + 200)
@@ -424,8 +424,8 @@ def test_each_side_takes_the_small_gcd_once_above_the_cap(monkeypatch, seed):
     gcd, taken = math.gcd, collections.Counter()
 
     def spy(*args):
-        if arith._SMALL_PRODUCT in args:
-            taken.update(a for a in args if a != arith._SMALL_PRODUCT)
+        if primality._SMALL_PRODUCT in args:
+            taken.update(a for a in args if a != primality._SMALL_PRODUCT)
         return gcd(*args)
 
     monkeypatch.setattr(math, "gcd", spy)

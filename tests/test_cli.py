@@ -22,6 +22,7 @@ from twinsieve.cli import main
 from twinsieve.oracle import twin_ranks_up_to
 from twinsieve.progressions import remnants_below
 
+from conftest import cli_commands
 from reference_lists import C5, C7, REMNANTS_61_BELOW_748
 
 
@@ -136,10 +137,6 @@ class TestCommands:
         assert env["results"]["mismatch_count"] == "0"
         assert "verify:" in err  # throughput goes to stderr, not the envelope
 
-    def test_bench(self, capsys):
-        env = run_json(capsys, "bench", "--limit", "1000")
-        assert env["results"]["pi2"] == str(loads_strict(run_cli(capsys, "twins", "--limit", "166")[1])["results"]["count"])
-
 
 class TestCsv:
     def test_counts_row_matches_json(self, capsys):
@@ -162,20 +159,18 @@ class TestCsv:
         assert "28,intruder,13" in lines
         assert "1,front_twin_rank," in lines
 
-    # (argv, keys whose values are wall-clock timings and differ between runs)
     SCALAR_COMMANDS = [
-        (("classify", "20"), ()),  # both sides composite: a list cell
-        (("classify", "5"), ()),  # twin rank: empty cells
-        (("counts", "--level", "7"), ()),
-        (("legendre", "--level", "13", "--ceiling", "1000"), ()),
-        (("mainterm", "--level", "7"), ()),
-        (("c2", "--tol", "1e-5"), ()),
-        (("verify", "--limit", "300"), ()),
-        (("bench", "--limit", "1000"), ("sieve_seconds", "classify_seconds", "classify_per_second")),
+        ("classify", "20"),  # both sides composite: a list cell
+        ("classify", "5"),  # twin rank: empty cells
+        ("counts", "--level", "7"),
+        ("legendre", "--level", "13", "--ceiling", "1000"),
+        ("mainterm", "--level", "7"),
+        ("c2", "--tol", "1e-5"),
+        ("verify", "--limit", "300"),
     ]
 
-    @pytest.mark.parametrize("argv, timings", SCALAR_COMMANDS, ids=[" ".join(a) for a, _ in SCALAR_COMMANDS])
-    def test_scalar_row_is_the_json_results(self, capsys, argv, timings):
+    @pytest.mark.parametrize("argv", SCALAR_COMMANDS, ids=" ".join)
+    def test_scalar_row_is_the_json_results(self, capsys, argv):
         results = run_json(capsys, *argv)["results"]
         results.pop("mismatches", None)
         code, out, _ = run_cli(capsys, "--emit", "csv", *argv)
@@ -184,8 +179,6 @@ class TestCsv:
         cells = dict(zip(header.split(","), row.split(","), strict=True))
         assert sorted(cells) == sorted(results)
         for key, value in results.items():
-            if key in timings:
-                continue
             want = "" if value is None else " ".join(value) if isinstance(value, list) else str(value)
             assert cells[key] == want, key
 
@@ -813,6 +806,12 @@ def test_every_traced_name_exists(monkeypatch):
         if not hasattr(importlib.import_module(f"twinsieve.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_the_readme_cli_block_names_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    assert {line.split()[1] for line in block.splitlines() if line.startswith("twinsieve ")} == cli_commands()
 
 
 @pytest.mark.parametrize("commands", GOLDEN_COMMANDS, ids=[c[0] for c in GOLDEN_COMMANDS])

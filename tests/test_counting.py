@@ -14,7 +14,7 @@ import twinsieve.arith as arith
 import twinsieve.counting as counting
 import twinsieve.oracle as oracle
 import twinsieve.parallel as parallel
-from twinsieve.arith import next_prime, primes_between
+from twinsieve.arith import primes_between
 from twinsieve.counting import (
     C2_GUARD,
     LEGENDRE_GUARD,
@@ -30,6 +30,7 @@ from twinsieve.counting import (
 )
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import pi2_exact, sieve_segment
+from twinsieve.primality import is_prime, next_prime
 from twinsieve.progressions import residue_set
 
 from conftest import least_prime_factors
@@ -208,7 +209,7 @@ class TestLevelFactors:
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(primes_between(4, 10**6)), min_size=1, max_size=5))
-    @example([q for q in (3**k + 2 for k in range(1, 13)) if arith.is_prime(q)])  # 3s to the twelfth power
+    @example([q for q in (3**k + 2 for k in range(1, 13)) if is_prime(q)])  # 3s to the twelfth power
     @example([13])  # 11 = 6*2 - 1: the table must reach the rank of its largest value's 6r - 1 side
     def test_any_level_primes(self, levels):
         values = np.array(levels, dtype=np.int64) - 2

@@ -220,7 +220,7 @@ class TestVerifyClassify:
 class TestCrossModule:
     @pytest.mark.parametrize("level", [7, 11, 13, 61])
     def test_remnants_equal_front_twin_ranks(self, level):
-        from twinsieve.arith import next_prime
+        from twinsieve.primality import next_prime
 
         bound = m_bound(next_prime(level))
         rep = remnants_below(level, bound)

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twinsieve import arith, progressions
-from twinsieve.arith import _strike, next_prime, nsix, primes_between
+from twinsieve import arith, primality, progressions
+from twinsieve.arith import _strike, primes_between
 from twinsieve.classify import classify
 from twinsieve.counting import counts_row, m_bound
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import _twin_truth
+from twinsieve.primality import next_prime, nsix
 from twinsieve.progressions import (
     FAMILY,
     FAMILY_OBJECT,
@@ -98,7 +99,7 @@ def least_parent(lo: int, hi: int, primes) -> np.ndarray:
 
 
 # Rank edges of the engine's blocks below 10**6: the least-factor table's, the rank wheel's period and a prime block's.
-EDGES = [arith.LEAST_BLOCK, 3 * arith.LEAST_BLOCK, arith.RANK_PERIOD, 2 * arith.RANK_PERIOD, (arith.SPAN + 1) // 6]
+EDGES = [primality.LEAST_BLOCK, 3 * primality.LEAST_BLOCK, arith.RANK_PERIOD, 2 * arith.RANK_PERIOD, (arith.SPAN + 1) // 6]
 
 
 class TestLeastParent:
@@ -268,7 +269,7 @@ class TestBoundaryValues:
     def test_constants_below_front_bound_are_twin_ranks(self):
         # Intruder property: a constant below (p_next^2 - 1)/6 is a twin rank;
         # any non-rank constant has a parent above the sieve level.
-        from twinsieve.arith import next_prime
+        from twinsieve.primality import next_prime
         from twinsieve.counting import counts_row, m_bound
 
         for p in (5, 7, 11, 13):

@@ -9,7 +9,6 @@ in a new interpreter and must print the bytes that in-process main prints.
 
 import importlib
 import inspect
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +20,8 @@ from twinsieve import cli
 from twinsieve.arith import primes_between
 from twinsieve.cli import main
 from twinsieve.primality import LEAST_CAP, TRIAL_BOUND, _small_primes
+
+from conftest import cli_commands
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ENTRY = "import sys; from twinsieve.cli import main; sys.exit(main())"  # as the console script runs it
@@ -55,6 +56,7 @@ FRESH_COMMANDS = [
     "twins --limit 20000",
     "twins --limit 3000 --emit csv",
     "nonranks --prime 101 --limit 5000",
+    "constants --level 11",
     "remnants --level 13 --bound 5000",
     "remnants --level 13 --bound 3000 --emit csv",
     "family --primes 5,7,11 --nested 11",
@@ -65,6 +67,10 @@ FRESH_COMMANDS = [
     "c2 --tol 1e-5",
     "verify --limit 3000",
 ]
+
+
+def test_every_command_runs_in_a_fresh_process():
+    assert {command.split()[0] for command in FRESH_COMMANDS} == cli_commands()
 
 
 @pytest.mark.parametrize("command", FRESH_COMMANDS)
@@ -90,15 +96,6 @@ def test_out_in_a_fresh_process(tmp_path, capsys):
     assert main(["--out", str(tmp_path / "here.json"), "remnants", "--level", "7", "--bound", "2000"]) == 0
     assert capsys.readouterr().out == ""
     assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
-
-
-def test_bench_in_a_fresh_process():
-    child = fresh("bench", "--limit", "6000")  # timings, so its bytes differ from run to run
-    assert child.returncode == 0, child.stderr.decode()
-    results = json.loads(child.stdout)["results"]
-    assert sorted(results) == ["classify_per_second", "classify_sample", "classify_seconds", "limit", "pi2",
-                               "sieve_seconds"]
-    assert (results["limit"], results["pi2"], results["classify_sample"]) == ("6000", "142", "1000")
 
 
 def test_package_cli_and_classify_above_the_cap_load_no_numpy():
@@ -176,7 +173,7 @@ class TestPackageApi:
         assert arith.__name__ == "twinsieve.arith" and counting.__name__ == "twinsieve.counting"
 
     def test_cli_resolves_every_layer_name_from_its_module(self):
-        for name, module in cli._LAYERS.items():
+        for name, module in twinsieve._LAZY.items():
             assert getattr(cli, name) is getattr(importlib.import_module(f"twinsieve.{module}"), name), name
         with pytest.raises(AttributeError):
             cli.no_such_name
