@@ -23,16 +23,17 @@ Identical argv produces byte-identical output; verify prints its throughput
 to stderr to keep the envelope deterministic.  Domain, capacity, memory and
 OS errors (an invalid cache file, --workers below 1, an unwritable --out or
 --cache-dir, a closed stdout pipe) exit 1 with one line on stderr.
-Importing cli loads no array layer: each handler binds the names of the
-package's lazy table (twinsieve._LAZY_MODULES) from the modules it calls when
-it runs (_bind), the writer imports numpy only for an array it was handed, and
-so `classify m` from 2**22 up runs without numpy.
+Importing cli loads no array layer: main binds the layers the command table
+names (their names in twinsieve._LAZY_MODULES, by _bind) before the handler
+runs, the writer imports numpy only for an array it was handed, and so
+`classify m` from 2**22 up runs without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import json
 import os
 import sys
 import tempfile
@@ -47,7 +48,7 @@ from typing import Callable, Iterable, Sequence
 from . import _LAZY, _LAZY_MODULES, __version__
 from .classify import classify
 from .errors import CapacityError, DomainError
-from .primality import DEFAULT_CEILING
+from .primality import DEFAULT_CEILING, nsix
 
 
 def _bind(*modules: str) -> None:
@@ -119,19 +120,9 @@ def _decimal_string(n: int) -> str:
     return "-" + digits if n < 0 else digits
 
 
-_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _scalar(v) -> str:
-    """The JSON text of one scalar, as the json module writes _exact(v)."""
-    v = _exact(v)
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is None or isinstance(v, bool):
-        return "null" if v is None else "true" if v else "false"
-    if isinstance(v, float):
-        return _JSON_SPELLING.get(text := float.__repr__(v), text)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    """The JSON text of one scalar: the json module's text of _exact(v)."""
+    return json.dumps(_exact(v))
 
 
 def _cell(v) -> str:
@@ -374,9 +365,21 @@ def _load_cached_constants(cache_dir: str, level: int):
     except (ValueError, UserWarning):  # a line that is blank, not an integer or not an int64, or not text at all
         raise DomainError(f"cache file {path} is not a constants list") from None
     if (head != f"# level={level} modulus={modulus}\n" or constants.size != count  # count is at least 3
-            or constants[0] < 0 or constants[-1] >= modulus or not np.all(constants[1:] > constants[:-1])):
+            or constants[0] < 0 or constants[-1] >= modulus or not np.all(constants[1:] > constants[:-1])
+            or _struck(constants, row.primes)):
         raise DomainError(f"cache file {path} does not hold the {count} level-{level} constants")
     return modulus, constants
+
+
+def _struck(constants, primes: list[int]) -> bool:
+    """Whether some prime q strikes some constant c, c % q being N(q/6) or q - N(q/6); _BATCH constants at a time."""
+    classes = [(q, nsix(q)) for q in primes]
+    for piece in _slices(constants, _BATCH):
+        for q, n in classes:
+            rest = piece % q
+            if ((rest == n) | (rest == q - n)).any():
+                return True
+    return False
 
 
 def _store_cached_constants(cache_dir: str, level: int, modulus: int, constants) -> None:
@@ -396,7 +399,6 @@ def _cmd_classify(args):
 def _cmd_twins(args):
     from .oracle import _check_extent
 
-    _bind("arith")
     _check_extent(6 * args.limit + 1, args.ceiling, f"6*{args.limit}+1")  # the oracle's bounds, kept
     ranks = twin_ranks(args.limit, "uint32")  # the oracle's guard keeps 6*limit + 1 within 10**10
     results = {"limit": args.limit, "ranks": ranks, "count": len(ranks)}
@@ -404,7 +406,6 @@ def _cmd_twins(args):
 
 
 def _cmd_nonranks(args):
-    _bind("progressions")
     terms = nonranks_of(args.prime, args.limit)
     records = _Records(terms.dtype.names, [terms[k] for k in terms.dtype.names])
     results = {"prime": args.prime, "limit": args.limit, "count": len(terms), "terms": records}
@@ -412,7 +413,6 @@ def _cmd_nonranks(args):
 
 
 def _cmd_constants(args):
-    _bind("counting", "progressions")  # a cached level is checked against counts_row
     cached = _load_cached_constants(args.cache_dir, args.level) if args.cache_dir else None
     if cached is not None:
         modulus, constants = cached
@@ -426,7 +426,6 @@ def _cmd_constants(args):
 
 
 def _cmd_remnants(args):
-    _bind("progressions")
     rep = remnants_below(args.level, args.bound)
     results = {
         "level": rep.p,
@@ -462,7 +461,6 @@ def _remnant_columns(rep) -> list:
 
 
 def _cmd_family(args):
-    _bind("progressions")
     fam = crt_family(_parse_primes(args.primes))
     keys, columns = ("signs", "residue"), [_Made(fam.members, fam.sign_strings, len(fam.primes)), fam.members["residue"]]
     if args.nested is not None:
@@ -475,17 +473,14 @@ def _cmd_family(args):
 
 
 def _cmd_counts(args):
-    _bind("counting")
     return _one_row(_record(counts_row(args.level)))
 
 
 def _cmd_legendre(args):
-    _bind("counting")
     return _one_row(_record(legendre_pi2(args.level, ceiling=args.ceiling, workers=args.workers)))
 
 
 def _cmd_mainterm(args):
-    _bind("counting")
     rep = main_term(args.level)
     return _one_row({
         "level": rep.p_j,
@@ -501,7 +496,6 @@ def _cmd_mainterm(args):
 
 
 def _cmd_c2(args):
-    _bind("counting")
     return _one_row({
         "tolerance": args.tol,
         "c2": twin_prime_constant(args.tol),
@@ -511,7 +505,6 @@ def _cmd_c2(args):
 
 
 def _cmd_verify(args):
-    _bind("oracle")
     rep = verify_classify(args.limit, workers=args.workers, ceiling=args.ceiling)
     print(
         f"verify: {rep.limit} ranks in {rep.elapsed_s:.2f}s ({rep.ranks_per_s:.0f}/s)",
@@ -549,36 +542,38 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help_text: str, handler) -> argparse.ArgumentParser:
+    def command(name: str, help_text: str, handler, *layers: str) -> argparse.ArgumentParser:
+        """A subcommand whose handler calls into the named layers, the modules of twinsieve._LAZY_MODULES."""
         p = sub.add_parser(name, help=help_text)
         _add_global_flags(p, suppress=True)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, layers=layers)
         return p
 
     p = command("classify", "twin rank or non-rank with parent prime", _cmd_classify)
     p.add_argument("m", type=int)
-    p = command("twins", "twin ranks up to a limit", _cmd_twins)
+    p = command("twins", "twin ranks up to a limit", _cmd_twins, "arith")
     p.add_argument("--limit", type=int, required=True)
-    p = command("nonranks", "non-rank values of one prime", _cmd_nonranks)
+    p = command("nonranks", "non-rank values of one prime", _cmd_nonranks, "progressions")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--limit", type=int, required=True)
-    p = command("constants", "admissible residue classes at a level", _cmd_constants)
+    # a cached level is checked against counts_row
+    p = command("constants", "admissible residue classes at a level", _cmd_constants, "counting", "progressions")
     p.add_argument("--level", type=int, required=True)
-    p = command("remnants", "value-level remnants below a bound", _cmd_remnants)
+    p = command("remnants", "value-level remnants below a bound", _cmd_remnants, "progressions")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p = command("family", "simultaneous non-rank progressions of several primes", _cmd_family)
+    p = command("family", "simultaneous non-rank progressions of several primes", _cmd_family, "progressions")
     p.add_argument("--primes", required=True, help="comma-separated, e.g. 5,7,11")
     p.add_argument("--nested", type=int, default=None, help="also emit nested forms with this prime outermost")
-    p = command("counts", "exact per-period counts at a level", _cmd_counts)
+    p = command("counts", "exact per-period counts at a level", _cmd_counts, "counting")
     p.add_argument("--level", type=int, required=True)
-    p = command("legendre", "inclusion-exclusion estimate with oracle residuals", _cmd_legendre)
+    p = command("legendre", "inclusion-exclusion estimate with oracle residuals", _cmd_legendre, "counting")
     p.add_argument("--level", type=int, required=True)
-    p = command("mainterm", "exact main-term forms and the asymptote", _cmd_mainterm)
+    p = command("mainterm", "exact main-term forms and the asymptote", _cmd_mainterm, "counting")
     p.add_argument("--level", type=int, required=True)
-    p = command("c2", "twin prime constant from the truncated product", _cmd_c2)
+    p = command("c2", "twin prime constant from the truncated product", _cmd_c2, "counting")
     p.add_argument("--tol", type=float, default=1e-6)
-    p = command("verify", "replay classify against the sieve oracle", _cmd_verify)
+    p = command("verify", "replay classify against the sieve oracle", _cmd_verify, "oracle")
     p.add_argument("--limit", type=int, required=True)
     return parser
 
@@ -590,6 +585,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.workers < 1:
             raise DomainError(f"--workers must be >= 1, got {args.workers}")
+        _bind(*args.layers)
         results, table = args.handler(args)
         if args.emit == "csv":
             pieces = _csv_pieces(*table())
@@ -597,7 +593,7 @@ def main(argv: list[str] | None = None) -> int:
             parameters = {
                 k: v
                 for k, v in vars(args).items()
-                if k not in ("command", "handler", "emit", "out", "cache_dir") and v is not None
+                if k not in ("command", "handler", "layers", "emit", "out", "cache_dir") and v is not None
             }
             envelope = {
                 "command": args.command,

@@ -19,17 +19,18 @@ from .parallel import parallel_map
 from .primality import DEFAULT_CEILING
 
 # Largest number the oracle sieves up to, whatever the ceiling allows; checked
-# before any sieving.  pi2_exact(10**10) counts 27,412,678 pairs in 98 s at
-# 31 MB on one core of a 2-vCPU host; level 29's period, 6L+1 = 6,469,693,231,
-# stays within it.  At the guard twin_ranks_up_to would hold those ranks as
-# 219 MB of int64 (once: the array grows in place), and verify_classify
-# classifies every rank: 240,000-430,000 a second per worker at m <= 3e5,
-# where classify reads the least-factor table (the scalar path ran 160,000-
-# 200,000 on the same 2-vCPU host).
+# before any sieving.  pi2_exact(10**10) counts 27,412,678 pairs in 85-106 s
+# at 34 MB in-process (single runs on one core of a shared 2-vCPU host); level
+# 29's period, 6L+1 = 6,469,693,231, stays within it.  At the guard
+# twin_ranks_up_to would hold those ranks as 219 MB of int64 (once: the array
+# grows in place), and verify_classify classifies every rank: 240,000-430,000
+# a second per worker at m <= 3e5, where classify reads the least-factor table
+# (the scalar path ran 160,000-200,000 on the same 2-vCPU host).
 SIEVE_GUARD = 10**10
 DEFAULT_SEGMENT = 1 << 20  # numbers per segment in pi2_exact and twin_ranks_up_to
 
-# Ranks handled per chunk so one chunk's number span is about DEFAULT_SEGMENT.
+# Ranks handled per chunk of verify_classify; they span 6 * 2**15 = 196,608
+# numbers, 3/16 of DEFAULT_SEGMENT.  The constant sets verify's chunk edges.
 _VERIFY_CHUNK_RANKS = 1 << 15
 
 _base_flags = np.zeros(2, dtype=bool)

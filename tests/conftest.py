@@ -1,6 +1,8 @@
 import argparse
 import math
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +11,29 @@ from twinsieve.cli import build_parser
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+# The environment of every child interpreter: the package from src/, and the
+# bytecode in one temp directory, not in src/.  The children share it, so the
+# first to import a module compiles it for the rest; the session removes it at
+# its end.
+CHILD_ENV = {
+    "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+    "PYTHONPYCACHEPREFIX": tempfile.mkdtemp(prefix="twinsieve-pycache-"),
+}
+
+
+def pytest_sessionfinish(session, exitstatus):
+    shutil.rmtree(CHILD_ENV["PYTHONPYCACHEPREFIX"], ignore_errors=True)
+
+
+def cli_parsers() -> dict[str, argparse.ArgumentParser]:
+    """The subcommands of the CLI's parser, each with its own parser."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return dict(sub.choices)
+
 
 def cli_commands() -> set[str]:
     """The subcommands of the CLI's parser."""
-    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return set(sub.choices)
+    return set(cli_parsers())
 
 
 def simple_sieve(limit: int) -> list[bool]:

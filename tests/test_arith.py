@@ -4,7 +4,6 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +18,12 @@ from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import sieve_segment, twin_ranks_up_to
 from twinsieve.primality import is_prime, nearest_int, next_prime, nsix, smallest_prime_factor, trial_factor
 
-from conftest import least_prime_factors, simple_sieve
+from conftest import CHILD_ENV, least_prime_factors, simple_sieve
 from reference_lists import slow_smallest_prime_factor
 
 REF_FLAGS = simple_sieve(100_000)
 REF_PRIMES = [p for p, ok in enumerate(REF_FLAGS) if ok]
 PRIMES_PAST_TRIAL = [p for p in REF_PRIMES if p > primality.TRIAL_BOUND]
-SRC = Path(__file__).resolve().parents[1] / "src"
 COLD_CACHE = (1, np.empty(0, dtype=np.int64))  # the prime cache before anything is sieved
 
 
@@ -519,7 +517,7 @@ class TestLeastFactorTable:
     def test_import_builds_no_block(self):
         probe = "import twinsieve.cli, twinsieve.arith as a; print(a._least_block.cache_info().misses)"
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                             env={"PYTHONPATH": str(SRC)}).stdout
+                             env=CHILD_ENV).stdout
         assert out.strip() == "0"
 
     def test_no_block_above_the_cap(self):

@@ -22,7 +22,7 @@ from twinsieve.cli import main
 from twinsieve.oracle import twin_ranks_up_to
 from twinsieve.progressions import remnants_below
 
-from conftest import cli_commands
+from conftest import CHILD_ENV, cli_commands
 from reference_lists import C5, C7, REMNANTS_61_BELOW_748
 
 
@@ -257,10 +257,9 @@ class TestErrorsAndOutput:
     def test_closed_stdout_pipe_exits_1(self):
         # The envelope outgrows the pipe buffer, so the write fails even if the
         # child starts writing before the read end is closed.
-        src = Path(cli.__file__).resolve().parents[1]
         with subprocess.Popen(
             [sys.executable, "-m", "twinsieve.cli", "twins", "--limit", "200000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
         ) as proc:
             proc.stdout.close()
             err = proc.stderr.read().decode()
@@ -390,6 +389,8 @@ class TestErrorsAndOutput:
             ("repeated", COUNT, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + f"{C7[-2]}\n"),
             ("int64-overflow", LIST, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + f"{2**63}\n"),
             ("int64-underflow", LIST, "# level=7 modulus=35\n" + f"{-(2**63) - 1}\n" + "".join(f"{c}\n" for c in C7[1:])),
+            ("not-admissible", COUNT, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in range(15))),
+            ("struck-class", COUNT, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:-1]) + "34\n"),  # 34 % 5 == 5 - N(5/6)
             ("too-many", COUNT, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7) + "".join(f"{c}\n" for c in C7)),
             ("blank-line", LIST, "# level=7 modulus=35\n" + "".join(f"{c}\n" for c in C7[:5]) + "\n"
              + "".join(f"{c}\n" for c in C7[5:])),

@@ -14,11 +14,10 @@ interpreter, never by the test process itself.
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import CHILD_ENV
 
 # Forks argv with stdout to /dev/null and prints [exit code, ru_maxrss in kB].
 LAUNCHER = (
@@ -72,7 +71,7 @@ CLASSIFY_BELOW_MB = 8
 def peak_mb(argv: list[str]) -> float:
     out = subprocess.run(
         [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "twinsieve.cli", *argv],
-        capture_output=True, text=True, env={"PYTHONPATH": str(SRC)}, check=True,
+        capture_output=True, text=True, env=CHILD_ENV, check=True,
     ).stdout
     code, kb = json.loads(out)
     assert code == 0, argv

@@ -11,7 +11,6 @@ import importlib
 import inspect
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -21,15 +20,14 @@ from twinsieve.arith import primes_between
 from twinsieve.cli import main
 from twinsieve.primality import LEAST_CAP, TRIAL_BOUND, _small_primes
 
-from conftest import cli_commands
+from conftest import CHILD_ENV, cli_commands, cli_parsers
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 ENTRY = "import sys; from twinsieve.cli import main; sys.exit(main())"  # as the console script runs it
 
 
 def fresh(*argv: str) -> subprocess.CompletedProcess:
     """The CLI with argv in a new interpreter, stdout and stderr as bytes."""
-    return subprocess.run([sys.executable, "-c", ENTRY, *argv], capture_output=True, env={"PYTHONPATH": str(SRC)})
+    return subprocess.run([sys.executable, "-c", ENTRY, *argv], capture_output=True, env=CHILD_ENV)
 
 
 def loaded(code: str) -> list[set[str]]:
@@ -41,7 +39,7 @@ def loaded(code: str) -> list[set[str]]:
         "    print('loaded:', *names, file=sys.stderr)\n"
     )
     child = subprocess.run([sys.executable, "-c", probe + code], capture_output=True, text=True,
-                           env={"PYTHONPATH": str(SRC)}, check=True)
+                           env=CHILD_ENV, check=True)
     return [set(line.split()[1:]) for line in child.stderr.splitlines() if line.startswith("loaded:")]
 
 
@@ -123,6 +121,13 @@ NOT_LOADED = {
 def test_each_command_loads_only_its_own_layers(command):
     (modules,) = loaded(f"from twinsieve.cli import main\nmain({command.split()!r})\nprobe()\n")
     assert not modules & NOT_LOADED[command], modules
+
+
+def test_the_command_table_names_only_lazy_layers():
+    # main binds each command's layers before its handler runs; a misspelt one would fail only in that command.
+    layers = {name: parser.get_default("layers") for name, parser in cli_parsers().items()}
+    assert all(set(named) <= set(twinsieve._LAZY_MODULES) for named in layers.values()), layers
+    assert layers["classify"] == ()
 
 
 def test_the_trial_table_is_the_engine_primes_below_the_bound():
