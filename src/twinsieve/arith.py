@@ -165,8 +165,9 @@ def primes_between(lo: int, hi: int) -> list[int]:
 # that side is prime.  It serves ranks below LEAST_CAP, sides below 6*2**22 - 1 =
 # 25,165,823, whose base primes run to 5,011, so the prime cache stays at 2**16.
 # A block is 2**15 ranks of uint16, 128 KB, struck in 0.5-1.2 ms by the primes
-# in descending order; eight blocks, 1 MB, stay cached.  primality.smallest_prime_factor
-# reads it, and defines LEAST_BLOCK and LEAST_CAP.
+# in descending order; two blocks, 256 KB, stay cached: verify_classify walks the ranks in
+# order, a chunk of it spans at most two blocks, and one classify call needs one.
+# primality.smallest_prime_factor reads it, and defines LEAST_BLOCK and LEAST_CAP.
 def _least_factors(r_lo: int, size: int) -> np.ndarray:
     """The least-factor table over the size ranks from r_lo, as uint16 entries in the prime flags' layout."""
     base = prime_array(4, math.isqrt(6 * (r_lo + size) - 5))[::-1]  # to the last 6r + 1; descending
@@ -174,7 +175,7 @@ def _least_factors(r_lo: int, size: int) -> np.ndarray:
     return _strike(np.zeros(2 * size, dtype=np.uint16), r_lo, base, first)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)
 def _least_block(k: int) -> memoryview:
     """Block k of the least-factor table, from rank k*LEAST_BLOCK: a read-only memoryview, whose items are Python ints."""
     return memoryview(_least_factors(k * LEAST_BLOCK, LEAST_BLOCK)).toreadonly()

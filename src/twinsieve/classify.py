@@ -9,8 +9,9 @@ nonranks_of, is an array layer and lives in progressions.
 The parent is the least of the composite sides' least prime factors.  Below
 LEAST_CAP = 2**22 both sides are read from arith's least-factor table, the
 engine's rank-space strike with each base prime's value in place of a flag:
-two smallest_prime_factor lookups, 3-4 us a call for m <= 300,000 against
-7-8 us on the scalar path, with at most eight 128 KB blocks cached.
+two smallest_prime_factor lookups, 1.4-1.7 us a call for m <= 300,000 against
+6-7 us on the scalar path just above the cap, with at most two 128 KB blocks
+cached.
 From the cap up, each side takes one gcd with the product of the primes to
 211, which classify hands on: is_prime settles the side from it (then
 deterministic Miller-Rabin), and a composite side's least factor comes from
@@ -47,6 +48,8 @@ SIDE_PLUS = "plus"    # 6m + 1
 SIGN_PLUS = "+"
 SIGN_MINUS = "-"
 
+_PLUS_ONLY, _MINUS_ONLY, _BOTH_SIDES = (SIDE_PLUS,), (SIDE_MINUS,), (SIDE_MINUS, SIDE_PLUS)  # composite_sides
+
 
 @dataclass(frozen=True, init=False)
 class Classification:
@@ -54,7 +57,8 @@ class Classification:
 
     For a non-rank, m = witness_kappa * parent + (witness_sign) * N(parent/6),
     and composite_sides marks which of 6m-1, 6m+1 is composite.  The constructor
-    fills the fields in one dict update, not six object.__setattr__ calls.
+    stores the fields straight into the instance dict, not through one
+    object.__setattr__ call per field.
     """
 
     m: int
@@ -65,8 +69,9 @@ class Classification:
     witness_kappa: int | None = None
 
     def __init__(self, m, verdict, parent=None, composite_sides=(), witness_sign=None, witness_kappa=None):
-        self.__dict__.update(m=m, verdict=verdict, parent=parent, composite_sides=composite_sides,
-                             witness_sign=witness_sign, witness_kappa=witness_kappa)
+        d = self.__dict__  # frozen blocks attribute assignment, not stores into the dict
+        d["m"], d["verdict"], d["parent"] = m, verdict, parent
+        d["composite_sides"], d["witness_sign"], d["witness_kappa"] = composite_sides, witness_sign, witness_kappa
 
     @property
     def is_twin_rank(self) -> bool:
@@ -79,22 +84,23 @@ def classify(m: int) -> Classification:
     Refuses m whose sides leave the deterministic primality range rather than
     falling back to probabilistic answers.
     """
-    if m < 1:
-        raise DomainError(f"classification needs a positive integer, got {m}")
-    if 6 * m + 1 >= PRIMALITY_LIMIT:
-        raise CapacityError(f"6*{m}+1 exceeds the deterministic primality range")
-    minus, plus = 6 * m - 1, 6 * m + 1
-    if m < LEAST_CAP:  # both sides are in the least-factor table: one lookup each
+    if 0 < m < LEAST_CAP:  # both sides are in the least-factor table: one lookup each
+        minus, plus = 6 * m - 1, 6 * m + 1
         a, b = smallest_prime_factor(minus), smallest_prime_factor(plus)
         if a == minus:
             if b == plus:
                 return Classification(m, TWIN_RANK)
-            parent, composite_sides = b, (SIDE_PLUS,)
+            parent, composite_sides = b, _PLUS_ONLY
         elif b == plus:
-            parent, composite_sides = a, (SIDE_MINUS,)
+            parent, composite_sides = a, _MINUS_ONLY
         else:
-            parent, composite_sides = min(a, b), (SIDE_MINUS, SIDE_PLUS)
+            parent, composite_sides = min(a, b), _BOTH_SIDES
     else:  # one gcd against the primes to 211 per side, handed to is_prime and then to the factor search
+        if m < 1:
+            raise DomainError(f"classification needs a positive integer, got {m}")
+        if 6 * m + 1 >= PRIMALITY_LIMIT:
+            raise CapacityError(f"6*{m}+1 exceeds the deterministic primality range")
+        minus, plus = 6 * m - 1, 6 * m + 1
         g_minus, g_plus = small_gcd(minus), small_gcd(plus)
         minus_prime = is_prime(minus, g_minus)
         plus_prime = is_prime(plus, g_plus)
@@ -102,17 +108,18 @@ def classify(m: int) -> Classification:
             return Classification(m, TWIN_RANK)
         if minus_prime or plus_prime:
             parent = smallest_prime_factor(plus, g_plus) if minus_prime else smallest_prime_factor(minus, g_minus)
-            composite_sides = (SIDE_PLUS,) if minus_prime else (SIDE_MINUS,)
+            composite_sides = _PLUS_ONLY if minus_prime else _MINUS_ONLY
         else:
-            composite_sides = (SIDE_MINUS, SIDE_PLUS)
+            composite_sides = _BOTH_SIDES
             a = trial_factor(minus, TRIAL_BOUND, g_minus)  # composite, so never minus itself
             parent = trial_factor(plus, a or TRIAL_BOUND, g_plus) or a
             if not parent:
                 parent = min(rough_least_prime(minus), rough_least_prime(plus))
 
-    # N(parent/6), without nsix: its primality test would repeat on a proven prime
-    off = (parent + 1) // 6 if parent % 6 == 5 else (parent - 1) // 6
-    if m % parent == off % parent:
+    # N(parent/6), without nsix, whose primality test would repeat on a proven prime: parent is
+    # 6n -+ 1 >= 5, so (parent + 1) // 6 = n in both cases, and 0 < n < parent
+    off = (parent + 1) // 6
+    if m % parent == off:
         sign, kappa = SIGN_PLUS, (m - off) // parent
     else:
         sign, kappa = SIGN_MINUS, (m + off) // parent

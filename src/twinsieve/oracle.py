@@ -23,15 +23,18 @@ from .primality import DEFAULT_CEILING
 # at 34 MB in-process (single runs on one core of a shared 2-vCPU host); level
 # 29's period, 6L+1 = 6,469,693,231, stays within it.  At the guard
 # twin_ranks_up_to would hold those ranks as 219 MB of int64 (once: the array
-# grows in place), and verify_classify classifies every rank: 240,000-430,000
+# grows in place), and verify_classify classifies every rank: 450,000-610,000
 # a second per worker at m <= 3e5, where classify reads the least-factor table
-# (the scalar path ran 160,000-200,000 on the same 2-vCPU host).
+# (the scalar path takes 6-7 us a call just above 2**22, on the same 2-vCPU host).
 SIEVE_GUARD = 10**10
 DEFAULT_SEGMENT = 1 << 20  # numbers per segment in pi2_exact and twin_ranks_up_to
 
-# Ranks handled per chunk of verify_classify; they span 6 * 2**15 = 196,608
-# numbers, 3/16 of DEFAULT_SEGMENT.  The constant sets verify's chunk edges.
-_VERIFY_CHUNK_RANKS = 1 << 15
+# Ranks handled per chunk of verify_classify; they span 6 * 2**13 = 49,152
+# numbers, 3/64 of DEFAULT_SEGMENT, and at most two blocks of the least-factor
+# table.  Small chunks keep the workers' round-robin shares within one chunk of
+# each other (37 chunks at limit 3e5).  The constant sets verify's chunk edges,
+# which change no byte of the report.
+_VERIFY_CHUNK_RANKS = 1 << 13
 
 _base_flags = np.zeros(2, dtype=bool)
 
@@ -137,7 +140,7 @@ def _verify_chunk(bounds: tuple[int, int]) -> tuple[int, list[tuple[int, str, st
     twins = 0
     mism: list[tuple[int, str, str]] = []
     for m, want in zip(range(m_lo, m_hi + 1), _twin_truth(m_lo, m_hi).tolist()):
-        got = classify(m).is_twin_rank
+        got = classify(m).verdict == TWIN_RANK
         twins += got
         if got != want:
             want_v = TWIN_RANK if want else NON_RANK

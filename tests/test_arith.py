@@ -346,9 +346,9 @@ class TestSmallestPrimeFactor:
     def test_examples(self, n, expect):
         assert smallest_prime_factor(n) == expect
 
-    @pytest.mark.parametrize("n", [0, 1, -5])
+    @pytest.mark.parametrize("n", [1, 0, -1, -5, -7, -25])  # the odd non-multiples of 3 pass the table case's first tests
     def test_domain(self, n):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=rf"^smallest_prime_factor needs n >= 2, got {n}$"):
             smallest_prime_factor(n)
 
     def test_no_table_past_the_trial_bound(self, monkeypatch):

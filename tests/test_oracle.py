@@ -1,3 +1,5 @@
+import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twinsieve.oracle as oracle
+from twinsieve.classify import NON_RANK, TWIN_RANK, classify
 from twinsieve.counting import m_bound
 from twinsieve.errors import CapacityError, DomainError
 from twinsieve.oracle import (
@@ -209,6 +212,29 @@ class TestVerifyClassify:
         assert lone.mismatches == pooled.mismatches == ()
         assert lone.twin_ranks == pooled.twin_ranks
         assert lone.non_ranks == pooled.non_ranks
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_planted_faults_are_reported(self, monkeypatch, workers):
+        # Verdicts flipped at twin ranks and non-ranks in all five chunks, the first and last ranks among them;
+        # forked workers inherit the patch.
+        limit, planted = 33_000, (1, 4, 8_193, 19_997, 20_000, 28_000, 32_769, 32_777, 33_000)
+        assert limit < 5 * oracle._VERIFY_CHUNK_RANKS and 6 * limit + 1 < len(REF_FLAGS)
+
+        def flipped(m):
+            c = classify(m)
+            if m not in planted:
+                return c
+            return dataclasses.replace(c, verdict=NON_RANK if c.verdict == TWIN_RANK else TWIN_RANK)
+
+        monkeypatch.setattr(oracle, "classify", flipped)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        truth = {m: TWIN_RANK if REF_FLAGS[6 * m - 1] and REF_FLAGS[6 * m + 1] else NON_RANK
+                 for m in range(1, limit + 1)}
+        twins = sum(v == TWIN_RANK for v in truth.values())
+        shift = sum(1 if truth[m] == NON_RANK else -1 for m in planted)
+        rep = verify_classify(limit, workers=workers)
+        assert rep.mismatches == tuple((m, truth[m], NON_RANK if truth[m] == TWIN_RANK else TWIN_RANK) for m in planted)
+        assert (rep.twin_ranks, rep.non_ranks) == (twins + shift, limit - twins - shift)
 
     def test_domain_and_ceiling(self):
         with pytest.raises(DomainError):
